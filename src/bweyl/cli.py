@@ -188,8 +188,10 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"unknown check {args.check!r}; known: {known}")
     if not 1 <= args.n <= MAX_EXHAUSTIVE_RANK:
         raise UsageError(f"--n must be in 1..{MAX_EXHAUSTIVE_RANK}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:
-        report = runner(args.n, jobs=max(1, args.jobs))
+        report = runner(args.n, jobs=args.jobs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _emit(report.to_json(), args.format)
@@ -290,7 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run one exhaustive check")
     p.add_argument("check", help=f"one of: {', '.join(sorted(theorems.CHECKS))}")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the theorem sweep (capped at the CPU count)",
+    )
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 

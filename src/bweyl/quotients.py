@@ -9,11 +9,18 @@ here compute it.  A pair (X, Y) splits the group when multiplication
 X x Y -> group is length-additive and bijective; the main verification
 sweeps every u and compares "([quotient], interval) splits" against
 separability of u.
+
+The sweep runs on the whole group indexed as ints (`_GroupTables`): ideal
+sizes come from one bitset pass in length order, and products from table
+lookups.  The tuple functions answer one element at a time and serve as
+the reference the table path is tested against.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+from array import array
 from typing import Iterable, Sequence
 
 from .patterns import is_separable, parabolic_factor
@@ -26,8 +33,10 @@ from .signed_perm import (
     group_order,
     identity,
     inverse,
+    left_mul_simple,
     length,
     longest_element,
+    simple_reflection,
 )
 from .weak_order import interval_right, left_leq, lower_ideal_left, right_leq
 
@@ -146,6 +155,8 @@ def splitting_transport(
     x0 * y0 = w0 (either way the input was not a splitting).
     """
     Xs, Ys = sorted(set(X)), sorted(set(Y))
+    if not Xs:
+        raise ValueError("transport of an empty factor is degenerate")
     n = len(Xs[0])
     maxes = left_maximal_elements(Xs)
     if len(maxes) != 1:
@@ -189,6 +200,8 @@ def splitting_restriction(
     subgroup's own cardinality and its own universe of products).
     """
     Xs, Ys = sorted(set(X)), sorted(set(Y))
+    if not Xs:
+        raise ValueError("restriction of an empty factor is degenerate")
     n = len(Xs[0])
     subgroup = parabolic_subgroup(n, removed)
     Xr = [w for w in Xs if w in subgroup]
@@ -203,8 +216,171 @@ def splits_with_interval(u: Window) -> SplittingReport:
     return _splitting_report(sorted(X), sorted(U), None, group_order(len(u)))
 
 
-def _theorem_case(u: Window) -> tuple[Window, bool, bool]:
-    return u, is_separable(u), splits_with_interval(u).is_splitting
+class _GroupTables:
+    """
+    The rank-n group indexed as ints, elements sorted by (length, window).
+
+    Multiplication by each generator s_i is stored as four arrays, split
+    by whether the product goes down or up one length:
+    left_down[i][k] is the index of s_i * w_k when that is shorter and the
+    sentinel `order` otherwise, left_up[i][k] the same when it is longer,
+    and right_down, right_up likewise for w_k * s_i.  Every table maps the
+    sentinel to itself, so a walk that leaves the cover relation stays at
+    the sentinel.
+    """
+
+    def __init__(self, n: int) -> None:
+        keyed = sorted((length(w), w) for w in all_windows(n))
+        self.windows = [w for _, w in keyed]
+        self.index = {w: k for k, w in enumerate(self.windows)}
+        self.order = len(self.windows)
+        lengths = [l for l, _ in keyed]
+        sentinel = self.order
+
+        def halves(products: Iterable[Window]) -> tuple[array, array]:
+            images = [self.index[p] for p in products]
+            down = array("i", [j if lengths[j] < l else sentinel
+                               for j, l in zip(images, lengths)])
+            up = array("i", [sentinel if lengths[j] < l else j
+                             for j, l in zip(images, lengths)])
+            down.append(sentinel)
+            up.append(sentinel)
+            return down, up
+
+        self.left_down, self.left_up, self.right_down, self.right_up = [], [], [], []
+        for i in range(n):
+            down, up = halves(left_mul_simple(i, w) for w in self.windows)
+            self.left_down.append(down)
+            self.left_up.append(up)
+            s = simple_reflection(n, i)
+            down, up = halves(compose(w, s) for w in self.windows)
+            self.right_down.append(down)
+            self.right_up.append(up)
+
+    def below(self, apex: int, downs: list[array]) -> list[int]:
+        """
+        The principal lower ideal of apex through the given descent
+        tables (left or right), in increasing length, identity first.
+        """
+        sentinel = self.order
+        out = [apex]
+        level = {apex}
+        while level:
+            nxt: set[int] = set()
+            for down in downs:
+                nxt.update(map(down.__getitem__, level))
+            nxt.discard(sentinel)
+            out.extend(nxt)
+            level = nxt
+        out.reverse()
+        return out
+
+    def splits(self, x_apex: int, u: int) -> bool:
+        """
+        Whether (X, Y) splits the group, with X the lower left ideal of
+        x_apex and Y the lower right interval of u.
+
+        Every product x * y is built from one already made by one lookup,
+        along a spanning tree of the smaller factor: x * y is
+        s_i * (x' * y) for x = s_i * x' (left tables), or (x * y') * s_i
+        for y = y' * s_i (right tables).  The lookups are in the ascent
+        tables, so a product reached without the sentinel has length
+        l(x) + l(y); with #X * #Y = #W, the products then cover the group
+        exactly when none is the sentinel and none collide.
+        """
+        X = self.below(x_apex, self.left_down)
+        Y = self.below(u, self.right_down)
+        if len(X) * len(Y) != self.order:
+            return False
+        if len(X) <= len(Y):
+            tree, downs, ups, row = X, self.left_down, self.left_up, Y
+        else:
+            tree, downs, ups, row = Y, self.right_down, self.right_up, X
+        sentinel = self.order
+        place = {z: j for j, z in enumerate(tree)}
+        rows = [row]
+        seen = set(row)
+        for z in tree[1:]:
+            i = next(i for i, down in enumerate(downs) if down[z] != sentinel)
+            row = list(map(ups[i].__getitem__, rows[place[downs[i][z]]]))
+            seen.update(row)
+            rows.append(row)
+        seen.discard(sentinel)
+        return len(seen) == self.order
+
+
+def _lower_ideal_sizes(tables: _GroupTables) -> array:
+    """
+    The size of every principal lower left ideal, indexed like tables.
+
+    One pass in length order: the ideal of w is w's own bit OR'd with the
+    ideals of its lower covers, as an int bitset.  A bitset is dropped as
+    soon as every upper cover of its element has used it, so only the
+    ideals of a band of adjacent lengths are alive at once.
+    """
+    order = tables.order
+    sizes = array("i", bytes(4 * order))
+    pending = array("i", bytes(4 * order))
+    live: dict[int, int] = {}
+    for k in range(order):
+        bits = 1 << k
+        ascents = 0
+        for down in tables.left_down:
+            c = down[k]
+            if c == order:
+                ascents += 1
+                continue
+            bits |= live[c]
+            pending[c] -= 1
+            if not pending[c]:
+                del live[c]
+        sizes[k] = bits.bit_count()
+        if ascents:
+            pending[k] = ascents
+            live[k] = bits
+    return sizes
+
+
+# Each worker process of the theorem sweep builds the tables once.
+_worker_tables: _GroupTables | None = None
+
+
+def _init_worker(n: int) -> None:
+    global _worker_tables
+    _worker_tables = _GroupTables(n)
+
+
+def _worker_splits(case: tuple[int, int]) -> bool:
+    return _worker_tables.splits(*case)
+
+
+def _theorem_cases(n: int, jobs: int = 1) -> list[tuple[Window, bool, bool]]:
+    """
+    (u, is_separable(u), whether (quotient, interval) splits) for every u
+    of rank n, sorted by u.  #X = |L(w0 u^-1)| and #Y = |L(u^-1)|, so the
+    ideal sizes settle #X * #Y != #W without building either factor; the
+    remaining cases get the full product walk, over jobs processes.
+    """
+    tables = _GroupTables(n)
+    sizes = _lower_ideal_sizes(tables)
+    index = tables.index
+    w0 = longest_element(n)
+    walks = []
+    for k, u in enumerate(tables.windows):
+        u_inv = inverse(u)
+        x_apex = index[compose(w0, u_inv)]
+        if sizes[x_apex] * sizes[index[u_inv]] == tables.order:
+            walks.append((x_apex, k))
+    if jobs > 1 and walks:
+        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(n,)) as pool:
+            verdicts = pool.map(_worker_splits, walks,
+                                chunksize=max(1, len(walks) // (4 * jobs)))
+    else:
+        verdicts = [tables.splits(*case) for case in walks]
+    splits = {k for (_, k), ok in zip(walks, verdicts) if ok}
+    return sorted(
+        (u, is_separable(u), k in splits) for k, u in enumerate(tables.windows)
+    )
 
 
 def verify_main_theorem(n: int, jobs: int = 1) -> LemmaReport:
@@ -212,17 +388,14 @@ def verify_main_theorem(n: int, jobs: int = 1) -> LemmaReport:
     Sweep every u of rank n and compare: the pair (generalized quotient of
     the right interval below u, that interval) splits the group exactly
     when u is separable.  Reports counts on success and the offending
-    elements on failure.
+    elements on failure.  jobs must be at least 1 and is capped at the
+    CPU count.
     """
     if not 2 <= n <= 6:
         raise ValueError(f"supported ranks are 2..6, got {n}")
-    cases = list(all_windows(n))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = list(pool.imap_unordered(_theorem_case, cases, chunksize=64))
-    else:
-        results = [_theorem_case(u) for u in cases]
-    results.sort()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    results = _theorem_cases(n, min(jobs, os.cpu_count() or 1))
     witnesses = tuple(
         {"window": u, "separable": sep, "splits": splits}
         for u, sep, splits in results

@@ -11,6 +11,8 @@ LemmaReport; a check with no qualifying elements passes vacuously.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .patterns import (
     inverse_minimality_criterion,
     is_doubly_minimal,
@@ -52,9 +54,10 @@ def _report(
     )
 
 
-def doubly_minimal_elements(n: int) -> list[Window]:
+@lru_cache(maxsize=4)  # one entry per rank the checks accept, 3..6
+def doubly_minimal_elements(n: int) -> tuple[Window, ...]:
     """Windows w with w and w^-1 both minimal non-separable."""
-    return [w for w in all_windows(n) if is_doubly_minimal(w)]
+    return tuple(w for w in all_windows(n) if is_doubly_minimal(w))
 
 
 def check_sign_structure(n: int) -> LemmaReport:
@@ -217,15 +220,16 @@ def check_factorization_bijection(w: Window) -> LemmaReport:
     ideal_q = lower_ideal_left(wq)
     ideal_j = lower_ideal_left(wj)
     ideal_w = lower_ideal_left(w)
+    ys = [(y, length(y)) for y in ideal_j]
     products: dict[Window, tuple[Window, Window]] = {}
     ok = True
     for x in ideal_q:
         if not ok:
             break
         lx = length(x)
-        for y in ideal_j:
+        for y, ly in ys:
             xy = compose(x, y)
-            if length(xy) != lx + length(y) or xy in products:
+            if length(xy) != lx + ly or xy in products:
                 ok = False
                 break
             products[xy] = (x, y)

@@ -25,6 +25,7 @@ from .signed_perm import (
     left_mul_simple,
     length,
     statistic_sets,
+    validate_window,
 )
 
 
@@ -91,11 +92,13 @@ def _bfs(seed: Window, down: bool) -> frozenset[Window]:
 
 def lower_ideal_left(w: Window) -> Ideal:
     """All u <= w in the left order, by downward search through covers."""
+    w = validate_window(w)
     return Ideal("lower-left", w, _bfs(w, down=True))
 
 
 def upper_ideal_left(w: Window) -> Ideal:
     """All u >= w in the left order, by upward search through covers."""
+    w = validate_window(w)
     return Ideal("upper-left", w, _bfs(w, down=False))
 
 
@@ -104,6 +107,7 @@ def interval_right(u: Window) -> Ideal:
     All x <= u in the right order: the inverses of the left lower ideal
     of the inverse.
     """
+    u = validate_window(u)
     below = _bfs(inverse(u), down=True)
     return Ideal("lower-right", u, frozenset(inverse(x) for x in below))
 

@@ -4,8 +4,13 @@ from itertools import chain, combinations
 
 import pytest
 
+from bweyl import quotients
+from bweyl.patterns import is_separable
 from bweyl.polynomials import from_counts, group_poincare
 from bweyl.quotients import (
+    _GroupTables,
+    _lower_ideal_sizes,
+    _theorem_cases,
     quotient_interval_identity,
     generalized_quotient,
     is_splitting,
@@ -166,6 +171,13 @@ def test_transport_rejects_non_splitting():
         splitting_transport(X, {identity(n)})
 
 
+def test_transport_and_restriction_reject_empty_factors():
+    with pytest.raises(ValueError):
+        splitting_transport([], [])
+    with pytest.raises(ValueError):
+        splitting_restriction([], [], ())
+
+
 def test_transport_closure_exhaustive_rank_two():
     for u in all_windows(2):
         report = splits_with_interval(u)
@@ -224,9 +236,10 @@ def test_main_theorem_rank_three():
 
 
 def test_main_theorem_parallel_matches_serial():
-    serial = verify_main_theorem(3, jobs=1)
-    parallel = verify_main_theorem(3, jobs=2)
-    assert serial == parallel
+    for n in (3, 4):
+        serial = verify_main_theorem(n, jobs=1)
+        parallel = verify_main_theorem(n, jobs=2)
+        assert serial == parallel
 
 
 def test_main_theorem_rank_guard():
@@ -234,6 +247,80 @@ def test_main_theorem_rank_guard():
         verify_main_theorem(1)
     with pytest.raises(ValueError):
         verify_main_theorem(7)
+
+
+def test_main_theorem_rejects_jobs_below_one():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            verify_main_theorem(2, jobs=jobs)
+
+
+class _InProcessPool:
+    """Stands in for multiprocessing.Pool: records the pool size and runs
+    the pool's work in this process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+def test_main_theorem_jobs_capped_at_cpu_count(monkeypatch):
+    pool = _InProcessPool()
+    monkeypatch.setattr(quotients, "_worker_tables", None)
+    monkeypatch.setattr(quotients.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(quotients.os, "cpu_count", lambda: 2)
+    assert verify_main_theorem(3, jobs=64) == verify_main_theorem(3)
+    assert pool.sizes == [2]
+    monkeypatch.setattr(quotients.os, "cpu_count", lambda: 1)
+    verify_main_theorem(3, jobs=64)
+    assert pool.sizes == [2]  # capped to one process: no pool
+
+
+def test_table_sweep_matches_tuple_path():
+    for n in (2, 3, 4):
+        for u, sep, splits in _theorem_cases(n):
+            assert (sep, splits) == (
+                is_separable(u), splits_with_interval(u).is_splitting
+            ), u
+
+
+def test_table_walk_matches_tuple_walk_on_every_pair():
+    # Every (lower left ideal, lower right interval) pair, not only the
+    # theorem's: at rank 3 the size check passes for 84 non-splitting pairs,
+    # so both failure kinds of the walk are exercised.
+    for n in (2, 3):
+        tables = _GroupTables(n)
+        X = [lower_ideal_left(w).elements for w in tables.windows]
+        Y = [interval_right(w).elements for w in tables.windows]
+        failures = set()
+        for a in range(tables.order):
+            for u in range(tables.order):
+                report = is_splitting(X[a], Y[u], n)
+                assert tables.splits(a, u) == report.is_splitting, (n, a, u)
+                if report.failure_witness:
+                    failures.add(report.failure_witness[0])
+        assert n == 2 or failures == {"length-deficit", "collision"}
+
+
+def test_table_ideal_sizes_match_ideals_rank_five():
+    tables = _GroupTables(5)
+    sizes = _lower_ideal_sizes(tables)
+    assert len(sizes) == len(tables.windows) == 3840
+    for w, size in zip(tables.windows, sizes):
+        assert size == len(lower_ideal_left(w)), w
 
 
 def test_report_json_shape():

@@ -32,6 +32,12 @@ def test_sign_structure_named_element():
     assert report.universe_size >= 1
 
 
+def test_doubly_minimal_elements_computed_once_per_rank():
+    first = doubly_minimal_elements(4)
+    assert isinstance(first, tuple)
+    assert doubly_minimal_elements(4) is first
+
+
 def test_sign_structure_small_ranks():
     for n in (3, 4):
         report = check_sign_structure(n)
@@ -84,6 +90,21 @@ def test_factorization_named_trivial_element():
 def test_factorization_rejects_wrong_tail():
     with pytest.raises(ValueError):
         check_factorization_bijection((1, 2, 3, 4))
+
+
+def test_factorization_iterates_each_ideal_once(monkeypatch):
+    from bweyl.weak_order import Ideal
+
+    calls = []
+    iterate = Ideal.__iter__
+
+    def counted(self):
+        calls.append(self.apex)
+        return iterate(self)
+
+    monkeypatch.setattr(Ideal, "__iter__", counted)
+    assert check_factorization_bijection((2, 1, -4, 3)).passed
+    assert len(calls) == 2  # the two factor ideals, not once per element
 
 
 def test_factorization_exhaustive_rank_four():

@@ -119,6 +119,13 @@ def test_ideal_container_protocol():
     assert list(ideal) == sorted(ideal.elements)
 
 
+def test_ideals_reject_malformed_windows():
+    for bad in ((1, 1), (0, 2), (5, 7)):
+        for build in (lower_ideal_left, upper_ideal_left, interval_right):
+            with pytest.raises(ValueError):
+                build(bad)
+
+
 def test_upper_ideal_named_values():
     n = 3
     assert upper_ideal_left(identity(n)).elements == frozenset(all_windows(n))
