@@ -115,32 +115,38 @@ def contains_pattern(w: Sequence[int], p: Window) -> bool:
     return False
 
 
+_FORBIDDEN_QUADS = frozenset(SEPARABLE_FORBIDDEN[2:])
+
+
+def _has_forbidden_pair(w: Sequence[int]) -> bool:
+    """
+    Whether w contains (-2, 1) or (2, -1), by a direct scan: a negated
+    entry before or after a smaller-magnitude entry of the opposite sign.
+    """
+    n = len(w)
+    for i in range(n - 1):
+        wi = w[i]
+        for j in range(i + 1, n):
+            wj = w[j]
+            if (wi < 0 < wj and -wi > wj) or (wj < 0 < wi and wi > -wj):
+                return True
+    return False
+
+
+def _has_forbidden_quad(w: Sequence[int]) -> bool:
+    """Whether w contains one of the four length-4 forbidden patterns."""
+    for idx in combinations(range(len(w)), 4):
+        if sts(tuple(w[i] for i in idx)) in _FORBIDDEN_QUADS:
+            return True
+    return False
+
+
 def is_separable(w: Sequence[int]) -> bool:
     """
     Whether w avoids all six forbidden patterns.  Unsigned windows can
     only meet the two all-positive quadruples, signed ones any of the six.
     """
-    n = len(w)
-    # Length-2 patterns by a direct scan: a negated entry before or after
-    # a smaller-magnitude entry of the opposite sign.
-    for i in range(n - 1):
-        wi = w[i]
-        for j in range(i + 1, n):
-            wj = w[j]
-            if wi < 0 < wj and -wi > wj:
-                return False
-            if wj < 0 < wi and wi > -wj:
-                return False
-    if n < 4:
-        return True
-    for idx in combinations(range(n), 4):
-        sub = sts(tuple(w[i] for i in idx))
-        if sub in _FORBIDDEN_QUADS:
-            return False
-    return True
-
-
-_FORBIDDEN_QUADS = frozenset(SEPARABLE_FORBIDDEN[2:])
+    return not _has_forbidden_pair(w) and not _has_forbidden_quad(w)
 
 
 def parabolic_factor(
@@ -225,15 +231,8 @@ def is_minimal_nonseparable_fast(w: Window) -> bool:
         return False
     prefix = w[:-1]
     wn = w[-1]
-    for i in range(n - 1):
-        wi = prefix[i]
-        for j in range(i + 1, n - 1):
-            wj = prefix[j]
-            if (wi < 0 < wj and -wi > wj) or (wj < 0 < wi and wi > -wj):
-                return False
-    for idx in combinations(range(n), 4):
-        if sts(tuple(w[i] for i in idx)) in _FORBIDDEN_QUADS:
-            return False
+    if _has_forbidden_pair(prefix) or _has_forbidden_quad(w):
+        return False
     target = (-2, 1) if wn > 0 else (2, -1)
     if not any(sts((x, wn)) == target for x in prefix):
         return False

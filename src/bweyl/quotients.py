@@ -127,46 +127,39 @@ def is_splitting(
     return _splitting_report(Xs, Ys, None, group_order(n))
 
 
-def left_maximal_elements(X: Iterable[Window]) -> list[Window]:
-    """Elements of X with nothing above them in the left order within X."""
-    Xs = sorted(set(X))
-    return [
-        x for x in Xs
-        if not any(y != x and left_leq(x, y) for y in Xs)
-    ]
-
-
-def right_maximal_elements(Y: Iterable[Window]) -> list[Window]:
-    """Elements of Y with nothing above them in the right order within Y."""
-    Ys = sorted(set(Y))
-    return [
-        y for y in Ys
-        if not any(z != y and right_leq(y, z) for z in Ys)
-    ]
+def _greatest(Zs: Sequence[Window], leq) -> Window | None:
+    """
+    The greatest element of Zs under the order leq, or None.  Everything
+    below another element is shorter, so it can only be the unique longest
+    element; in a finite poset it exists exactly when there is a unique
+    maximal element.
+    """
+    top = max(length(z) for z in Zs)
+    longest = [z for z in Zs if length(z) == top]
+    if len(longest) == 1 and all(leq(z, longest[0]) for z in Zs):
+        return longest[0]
+    return None
 
 
 def splitting_transport(
     X: Iterable[Window], Y: Iterable[Window]
 ) -> tuple[frozenset[Window], frozenset[Window]]:
     """
-    Produce a new splitting from one: with x0 the unique left-maximal
-    element of X, map X to X * x0^-1 and Y to x0 * Y * w0.  Raises if X
-    has no unique left-maximal element or if the maximal elements fail
-    x0 * y0 = w0 (either way the input was not a splitting).
+    Produce a new splitting from one: with x0 the greatest element of X in
+    the left order, map X to X * x0^-1 and Y to x0 * Y * w0.  Raises if X
+    has no greatest element, or Y none in the right order, or if the two
+    fail x0 * y0 = w0 (any of these means the input was not a splitting).
     """
     Xs, Ys = sorted(set(X)), sorted(set(Y))
-    if not Xs:
+    if not Xs or not Ys:
         raise ValueError("transport of an empty factor is degenerate")
     n = len(Xs[0])
-    maxes = left_maximal_elements(Xs)
-    if len(maxes) != 1:
-        raise ValueError(
-            f"no unique left-maximal element (found {len(maxes)}); not a splitting"
-        )
-    x0 = maxes[0]
+    x0 = _greatest(Xs, left_leq)
+    if x0 is None:
+        raise ValueError("no unique left-maximal element; not a splitting")
     w0 = longest_element(n)
-    y_maxes = right_maximal_elements(Ys)
-    if len(y_maxes) != 1 or compose(x0, y_maxes[0]) != w0:
+    y0 = _greatest(Ys, right_leq)
+    if y0 is None or compose(x0, y0) != w0:
         raise ValueError("maximal elements do not multiply to w0; not a splitting")
     x0_inv = inverse(x0)
     new_x = frozenset(compose(z, x0_inv) for z in Xs)
@@ -389,7 +382,9 @@ def verify_main_theorem(n: int, jobs: int = 1) -> LemmaReport:
     the right interval below u, that interval) splits the group exactly
     when u is separable.  Reports counts on success and the offending
     elements on failure.  jobs must be at least 1 and is capped at the
-    CPU count.
+    CPU count.  With jobs > 1 under the spawn or forkserver start method,
+    call this below an `if __name__ == "__main__":` guard: each worker
+    re-imports the calling script, and without the guard the pool hangs.
     """
     if not 2 <= n <= 6:
         raise ValueError(f"supported ranks are 2..6, got {n}")

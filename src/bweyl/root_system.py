@@ -8,13 +8,19 @@ positive roots are e_i (1 <= i <= n) and -e_i + e_j, e_i + e_j
 A subsystem is the intersection of the ambient roots with the span of a
 subset of simple roots; restriction of an inversion set to a subsystem is
 plain set intersection.
+
+Both facts about simple roots used here are closed forms (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, ch. 1-4 and App. A1): a root v is
+sum c_k * a_k with c_k = sum(v[k:]), each c_k in {0, 1, 2} for a positive
+root; and the Dynkin diagram is the path a_0 - a_1 - ... - a_{n-1}, so two
+simple roots are non-orthogonal exactly when they are neighbours on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 from .signed_perm import Window, statistic_sets
@@ -24,21 +30,41 @@ Root = tuple[int, ...]
 
 @dataclass(frozen=True)
 class RootSubsystem:
-    """A closed subsystem: its positive roots and ordered simple roots."""
+    """
+    A closed subsystem: its positive roots and its simple roots, which must
+    be some of a_0, ..., a_{n-1} in path order.
+    """
 
     ambient_rank: int
     simple_roots: tuple[Root, ...]
     positive_roots: frozenset[Root]
+
+    def __post_init__(self) -> None:
+        n = self.ambient_rank
+        places = [alpha.index(1) if 1 in alpha else n for alpha in self.simple_roots]
+        if places != sorted(set(places)) or any(
+            p >= n or alpha != _simple_root(n, p)
+            for alpha, p in zip(self.simple_roots, places)
+        ):
+            raise ValueError(f"simple roots off the path a_0, ..., a_{{n-1}}: "
+                             f"{self.simple_roots!r}")
 
     @property
     def rank(self) -> int:
         return len(self.simple_roots)
 
 
-def _basis_vector(n: int, i: int, value: int = 1) -> Root:
+def _vector(n: int, *entries: tuple[int, int]) -> Root:
+    """The rank-n vector with the given (0-based place, value) entries."""
     coords = [0] * n
-    coords[i] = value
+    for place, value in entries:
+        coords[place] = value
     return tuple(coords)
+
+
+def _simple_root(n: int, p: int) -> Root:
+    """a_p of the rank-n system: a_0 = e_1 and a_p = -e_p + e_{p+1}."""
+    return _vector(n, (p - 1, -1), (p, 1)) if p else _vector(n, (0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -46,21 +72,13 @@ def full_system(n: int) -> RootSubsystem:
     """The full rank-n system: n^2 positive roots, simples (a_0, ..., a_{n-1})."""
     if n < 1:
         raise ValueError(f"rank must be a positive integer, got {n}")
-    positives: list[Root] = [_basis_vector(n, i) for i in range(n)]
+    positives = [_vector(n, (i, 1)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            minus = [0] * n
-            minus[i], minus[j] = -1, 1
-            plus = [0] * n
-            plus[i], plus[j] = 1, 1
-            positives.append(tuple(minus))
-            positives.append(tuple(plus))
-    simples: list[Root] = [_basis_vector(n, 0)]
-    for i in range(n - 1):
-        alpha = [0] * n
-        alpha[i], alpha[i + 1] = -1, 1
-        simples.append(tuple(alpha))
-    return RootSubsystem(n, tuple(simples), frozenset(positives))
+            positives.append(_vector(n, (i, -1), (j, 1)))
+            positives.append(_vector(n, (i, 1), (j, 1)))
+    simples = tuple(_simple_root(n, p) for p in range(n))
+    return RootSubsystem(n, simples, frozenset(positives))
 
 
 def inversion_roots(w: Window) -> frozenset[Root]:
@@ -71,113 +89,85 @@ def inversion_roots(w: Window) -> frozenset[Root]:
     """
     n = len(w)
     neg, inv, nsp = statistic_sets(w)
-    roots: list[Root] = [_basis_vector(n, i - 1) for i in neg]
-    for i, j in inv:
-        coords = [0] * n
-        coords[i - 1], coords[j - 1] = -1, 1
-        roots.append(tuple(coords))
-    for i, j in nsp:
-        coords = [0] * n
-        coords[i - 1], coords[j - 1] = 1, 1
-        roots.append(tuple(coords))
-    return frozenset(roots)
+    return frozenset(
+        [_vector(n, (i - 1, 1)) for i in neg]
+        + [_vector(n, (i - 1, -1), (j - 1, 1)) for i, j in inv]
+        + [_vector(n, (i - 1, 1), (j - 1, 1)) for i, j in nsp]
+    )
 
 
-@lru_cache(maxsize=None)
-def _expand(simples: tuple[Root, ...], target: Root) -> tuple[Fraction, ...] | None:
+def _coefficients(root: Root) -> tuple[int, ...]:
     """
-    Solve target = sum c_k * simples[k] exactly, or None if target is not
-    in the span.  The simple roots are linearly independent, so any
-    solution is unique.
+    The coordinates of root in the simple roots a_0, ..., a_{n-1} of the
+    full system: root = sum c_k * a_k with c_k = sum(root[k:]).  Integer
+    coordinates give integer coefficients.
+
+    >>> _coefficients((0, 1, 1))  # e_2 + e_3 = 2 a_0 + 2 a_1 + a_2
+    (2, 2, 1)
+    >>> _coefficients((-1, 1, 0))  # a_1
+    (0, 1, 0)
     """
-    rows = len(target)
-    cols = len(simples)
-    aug = [[Fraction(simples[k][r]) for k in range(cols)] + [Fraction(target[r])]
-           for r in range(rows)]
-    pivot_row = 0
-    pivot_cols = []
-    for col in range(cols):
-        pr = next((r for r in range(pivot_row, rows) if aug[r][col] != 0), None)
-        if pr is None:
-            continue
-        aug[pivot_row], aug[pr] = aug[pr], aug[pivot_row]
-        pivot = aug[pivot_row][col]
-        aug[pivot_row] = [x / pivot for x in aug[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    for r in range(pivot_row, rows):
-        if aug[r][cols] != 0:
-            return None
-    coeffs = [Fraction(0)] * cols
-    for r, col in enumerate(pivot_cols):
-        coeffs[col] = aug[r][cols]
-    return tuple(coeffs)
+    return tuple(accumulate(reversed(root)))[::-1]
+
+
+def _path_positions(sys: RootSubsystem) -> list[int]:
+    """
+    Where each simple root of sys sits on the path a_0 - ... - a_{n-1}:
+    a_0 = e_1 and a_i = -e_i + e_{i+1} carry their +1 at coordinate i.
+    """
+    return [alpha.index(1) for alpha in sys.simple_roots]
 
 
 def dominance_leq(alpha: Root, beta: Root, sys: RootSubsystem) -> bool:
     """
     The dominance order on positive roots: alpha <= beta iff beta - alpha
-    is a nonnegative integer combination of the simple roots of sys.
+    is a nonnegative integer combination of the simple roots of sys.  Both
+    roots lie in the span of those simple roots, and so does beta - alpha:
+    the test is that none of its coefficients is negative.
     """
     for root in (alpha, beta):
         if root not in sys.positive_roots:
             raise ValueError(f"{root!r} is not a positive root of the subsystem")
     diff = tuple(b - a for a, b in zip(alpha, beta))
-    coeffs = _expand(sys.simple_roots, diff)
-    return coeffs is not None and all(c.denominator == 1 and c >= 0 for c in coeffs)
+    return all(c >= 0 for c in _coefficients(diff))
 
 
 def subsystem_spanned_by(sys: RootSubsystem, kept: Iterable[int]) -> RootSubsystem:
     """
     The subsystem spanned by the simple roots of sys at the kept indices:
-    those positive roots of sys lying in the span.
+    those positive roots of sys whose nonzero coefficients all fall on the
+    kept simple roots.  A root of sys has no coefficient off the simple
+    roots of sys, so only the dropped ones need a look.
     """
     kept_idx = sorted(set(kept))
     for k in kept_idx:
         if not 0 <= k < sys.rank:
             raise ValueError(f"simple root index {k} out of range")
     simples = tuple(sys.simple_roots[k] for k in kept_idx)
+    dropped = [p for k, p in enumerate(_path_positions(sys)) if k not in kept_idx]
     positives = frozenset(
-        beta for beta in sys.positive_roots if _expand(simples, beta) is not None
+        beta for beta in sys.positive_roots
+        if not any(_coefficients(beta)[p] for p in dropped)
     )
     return RootSubsystem(sys.ambient_rank, simples, positives)
 
 
-def _dot(a: Root, b: Root) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def components(sys: RootSubsystem) -> list[RootSubsystem]:
     """
-    Split sys into its irreducible components: connected classes of simple
-    roots under non-orthogonality, each carrying the positive roots in its
-    span.  A single component means sys is irreducible.
+    Split sys into its irreducible components, each carrying the positive
+    roots in its span.  Two simple roots are non-orthogonal exactly when
+    they are neighbours on the path a_0 - ... - a_{n-1}, so the components
+    are the maximal runs of consecutive path positions.  A single
+    component means sys is irreducible.
     """
-    k = sys.rank
-    unassigned = list(range(k))
-    classes: list[list[int]] = []
-    while unassigned:
-        seed = unassigned.pop(0)
-        cls = [seed]
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            linked = [
-                j for j in unassigned
-                if _dot(sys.simple_roots[cur], sys.simple_roots[j]) != 0
-            ]
-            for j in linked:
-                unassigned.remove(j)
-                cls.append(j)
-                frontier.append(j)
-        classes.append(sorted(cls))
-    return [subsystem_spanned_by(sys, cls) for cls in classes]
+    positions = _path_positions(sys)
+    runs: list[list[int]] = []
+    for k, p in enumerate(positions):
+        if k and positions[k - 1] == p - 1:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return [subsystem_spanned_by(sys, run) for run in runs]
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ its grading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .polynomials import Poly, from_counts
@@ -123,19 +122,25 @@ def rank_polynomial(ideal: Ideal) -> Poly:
     return from_counts([l - base for l in lengths])
 
 
-@lru_cache(maxsize=None)
 def reduced_word_count(w: Window) -> int:
     """
     The number of reduced words for w: sequences (i_1, ..., i_l) of
-    generator indices with l = length(w) whose product is w.
+    generator indices with l = length(w) whose product is w.  Counts the
+    paths down from w through lower covers one length at a time, holding
+    only the current level.
 
     >>> reduced_word_count((-1, -2))
     2
     """
-    descents = left_descents(w)
-    if not descents:
-        return 1
-    return sum(reduced_word_count(left_mul_simple(i, w)) for i in descents)
+    level = {w: 1}
+    for _ in range(length(w)):
+        below: dict[Window, int] = {}
+        for x, paths in level.items():
+            for i in left_descents(x):
+                y = left_mul_simple(i, x)
+                below[y] = below.get(y, 0) + paths
+        level = below
+    return level[identity(len(w))]
 
 
 def iter_reduced_words(w: Window) -> Iterator[tuple[int, ...]]:

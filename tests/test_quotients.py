@@ -14,7 +14,6 @@ from bweyl.quotients import (
     quotient_interval_identity,
     generalized_quotient,
     is_splitting,
-    left_maximal_elements,
     minimal_coset_representatives,
     parabolic_subgroup,
     quotient_of_interval,
@@ -166,9 +165,14 @@ def test_transport_rejects_non_splitting():
     n = 2
     # two left-maximal elements: the two atoms
     X = {identity(n), (-1, 2), (2, 1)}
-    assert len(left_maximal_elements(X)) == 2
     with pytest.raises(ValueError):
         splitting_transport(X, {identity(n)})
+    # a unique longest element (-2, 1) that is not above (2, 1)
+    with pytest.raises(ValueError):
+        splitting_transport({identity(n), (2, 1), (-2, 1)}, {identity(n)})
+    # X is fine, but Y has two right-maximal elements: the two atoms
+    with pytest.raises(ValueError, match="do not multiply"):
+        splitting_transport({identity(n)}, X)
 
 
 def test_transport_and_restriction_reject_empty_factors():

@@ -1,9 +1,15 @@
 """Root coordinates, dominance, subsystems, and the recursive pivot test."""
 
+from itertools import combinations, product
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bweyl.catalog import B2_SEPARABLE
 from bweyl.root_system import (
+    RootSubsystem,
+    _coefficients,
     components,
     dominance_leq,
     full_system,
@@ -23,6 +29,20 @@ def test_full_system_shape():
     assert full_system(1).positive_roots == frozenset({(1,)})
     with pytest.raises(ValueError):
         full_system(0)
+
+
+def test_subsystem_simple_roots_must_sit_on_the_path():
+    assert RootSubsystem(3, ((1, 0, 0), (0, -1, 1)), frozenset()).rank == 2
+    for n, simples in (
+        (2, ((0, 1), (1, -1))),  # independent, but not a_0, a_1
+        (2, ((-1, 1), (1, 0))),  # out of path order
+        (2, ((1, 0), (1, 0))),
+        (2, ((1, 1),)),
+        (2, ((0, 0, 1),)),
+        (1, ((0,),)),
+    ):
+        with pytest.raises(ValueError):
+            RootSubsystem(n, simples, frozenset())
 
 
 def test_inversion_roots_named_values():
@@ -133,3 +153,88 @@ def test_recursive_oracle_matches_pattern_test_small_ranks():
             assert is_separable(w) == is_separable_recursive(
                 inversion_roots(w), sys
             ), w
+
+
+# ------------------------------------------- closed form against the definitions
+
+
+def combine(n, simples, coeffs):
+    """The rank-n vector sum c_k * simples[k]."""
+    return tuple(sum(c * a[r] for c, a in zip(coeffs, simples)) for r in range(n))
+
+
+def nonnegative_span(n, simples):
+    """Every sum c_k * simples[k] with each c_k in {0, 1, 2}."""
+    return {combine(n, simples, c) for c in product((0, 1, 2), repeat=len(simples))}
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def test_coefficients_rebuild_every_positive_root():
+    for n in range(1, 7):
+        sys = full_system(n)
+        for beta in sys.positive_roots:
+            coeffs = _coefficients(beta)
+            assert combine(n, sys.simple_roots, coeffs) == beta
+            assert set(coeffs) <= {0, 1, 2}
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
+def test_coefficients_invert_the_simple_root_sum(coeffs):
+    n = len(coeffs)
+    simples = full_system(n).simple_roots
+    assert _coefficients(combine(n, simples, coeffs)) == tuple(coeffs)
+
+
+def subsets(k):
+    for r in range(k + 1):
+        yield from combinations(range(k), r)
+
+
+def test_subsystem_matches_span_membership():
+    for n in range(1, 5):
+        sys = full_system(n)
+        for kept in subsets(n):
+            simples = [sys.simple_roots[k] for k in kept]
+            spanned = nonnegative_span(n, simples)
+            sub = subsystem_spanned_by(sys, kept)
+            assert sub.simple_roots == tuple(simples)
+            assert sub.positive_roots == sys.positive_roots & spanned, (n, kept)
+
+
+def test_components_match_non_orthogonality_graph():
+    for n in range(1, 5):
+        sys = full_system(n)
+        for kept in subsets(n):
+            sub = subsystem_spanned_by(sys, kept)
+            # connected classes of simple roots, merged pairwise by dot products
+            classes = [{a} for a in sub.simple_roots]
+            for a, b in combinations(sub.simple_roots, 2):
+                if dot(a, b) != 0:
+                    ca = next(c for c in classes if a in c)
+                    cb = next(c for c in classes if b in c)
+                    if ca is not cb:
+                        classes.remove(cb)
+                        ca |= cb
+            comps = components(sub)
+            assert len(comps) == len(classes)
+            assert {frozenset(c.simple_roots) for c in comps} == {
+                frozenset(c) for c in classes
+            }
+            for comp in comps:
+                spanned = nonnegative_span(n, comp.simple_roots)
+                assert comp.positive_roots == sys.positive_roots & spanned
+
+
+def test_dominance_matches_definition():
+    for n in (2, 3, 4):
+        sys = full_system(n)
+        # positive roots have coefficients in {0, 1, 2}, so a difference
+        # beta - alpha that is a nonnegative combination lies in this set
+        above_zero = nonnegative_span(n, sys.simple_roots)
+        for alpha in sys.positive_roots:
+            for beta in sys.positive_roots:
+                diff = tuple(b - a for a, b in zip(alpha, beta))
+                assert dominance_leq(alpha, beta, sys) == (diff in above_zero)

@@ -2,9 +2,11 @@
 
 import random
 from itertools import product
+from math import factorial, prod
 
 import pytest
 
+from bweyl import weak_order
 from bweyl.polynomials import Poly
 from bweyl.signed_perm import (
     all_windows,
@@ -210,13 +212,35 @@ def brute_force_word_count(w):
     return count
 
 
+def square_tableaux_count(n):
+    """Standard Young tableaux of n x n shape, by the hook-length formula."""
+    hooks = prod(i + j - 1 for i in range(1, n + 1) for j in range(1, n + 1))
+    return factorial(n * n) // hooks
+
+
 def test_reduced_words_named_values():
     assert reduced_word_count(identity(4)) == 1
     assert list(iter_reduced_words(identity(4))) == [()]
-    assert reduced_word_count(longest_element(2)) == 2
+    # w0 of rank n has as many reduced words as n x n standard tableaux.
+    for n in (2, 3, 4, 5):
+        assert reduced_word_count(longest_element(n)) == square_tableaux_count(n)
+    assert square_tableaux_count(3) == 42
     for n in (3, 4, 5):
         w = identity(n)[: n - 2] + (-n, n - 1)
         assert reduced_word_count(w) == 1
+
+
+def test_reduced_word_count_keeps_nothing_between_calls():
+    def held():
+        return {
+            name: len(value) for name, value in vars(weak_order).items()
+            if not name.startswith("__") and isinstance(value, (dict, set, list))
+        }
+
+    assert not hasattr(reduced_word_count, "cache_info")
+    before = held()
+    assert reduced_word_count(longest_element(4)) == 24024
+    assert held() == before
 
 
 def test_reduced_words_against_brute_force():
