@@ -24,6 +24,7 @@ from .patterns import (
     is_separable,
 )
 from .quotients import quotient_of_interval, splits_with_interval
+from .reports import RANKS
 from .signed_perm import (
     all_windows,
     format_window,
@@ -42,6 +43,7 @@ from .weak_order import (
 
 MAX_ELEMENT_RANK = 8
 MAX_EXHAUSTIVE_RANK = 6
+MAX_LISTED_WORDS = 100_000
 
 
 class UsageError(Exception):
@@ -168,11 +170,10 @@ def _cmd_split_check(args) -> int:
 
 def _cmd_reduced_words(args) -> int:
     w = _window_arg(args.window)
-    payload = {
-        "window": format_window(w),
-        "length": length(w),
-        "count": reduced_word_count(w),
-    }
+    count = reduced_word_count(w)
+    if args.list and count > MAX_LISTED_WORDS:
+        raise UsageError(f"{count} reduced words exceed the list limit {MAX_LISTED_WORDS}")
+    payload = {"window": format_window(w), "length": length(w), "count": count}
     if args.list:
         payload["words"] = [
             " ".join(str(i) for i in word) for word in iter_reduced_words(w)
@@ -186,8 +187,9 @@ def _cmd_verify(args) -> int:
     if runner is None:
         known = ", ".join(sorted(theorems.CHECKS))
         raise UsageError(f"unknown check {args.check!r}; known: {known}")
-    if not 1 <= args.n <= MAX_EXHAUSTIVE_RANK:
-        raise UsageError(f"--n must be in 1..{MAX_EXHAUSTIVE_RANK}")
+    lo, hi = RANKS[args.check]
+    if not lo <= args.n <= hi:
+        raise UsageError(f"--n must be in {lo}..{hi}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:

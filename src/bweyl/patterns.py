@@ -70,7 +70,7 @@ def st(seq: Sequence[int]) -> Window:
     >>> st((2, -4, 3, -1))
     (3, 1, 4, 2)
     """
-    if any(x == 0 for x in seq):
+    if 0 in seq:
         raise ValueError("standardization rejects zero entries")
     if len(set(seq)) != len(seq):
         raise ValueError(f"standardization rejects repeated values: {tuple(seq)!r}")
@@ -86,7 +86,7 @@ def sts(seq: Sequence[int]) -> Window:
     >>> sts((-5, 2))
     (-2, 1)
     """
-    if any(x == 0 for x in seq):
+    if 0 in seq:
         raise ValueError("standardization rejects zero entries")
     mags = [abs(x) for x in seq]
     if len(set(mags)) != len(mags):
@@ -178,29 +178,25 @@ def parabolic_factor(
     first = bounds[0]
     if first > 0:
         block = w[:first]
-        quotient[:first] = sorted(abs(x) for x in block)
+        quotient[:first] = sorted(map(abs, block))
         subgroup[:first] = sts(block)
     for a, b in zip(bounds, bounds[1:]):
         block = w[a:b]
         quotient[a:b] = sorted(block)
-        subgroup[a:b] = (a + r for r in st(block))
+        subgroup[a:b] = [a + r for r in st(block)]
     return tuple(quotient), tuple(subgroup)
 
 
 def parabolic_blocks(w: Window, removed: Iterable[int]) -> list[Window]:
-    """The standardized blocks of the subgroup factor, as small windows."""
-    n = len(w)
-    ps = sorted(set(removed))
-    if not ps:
-        return [w]
-    blocks: list[Window] = []
-    first = ps[0]
-    if first > 0:
-        blocks.append(sts(w[:first]))
-    for a, b in zip(ps + [n], ps[1:] + [n]):
-        if b > a:
-            blocks.append(st(w[a:b]))
-    return blocks
+    """
+    The blocks of the subgroup factor of parabolic_factor(w, removed), each
+    shifted down to a small window: the block before the first cut as it
+    stands, every later block [a:b] with a subtracted from its entries.
+    """
+    cuts = sorted(set(removed))
+    b = parabolic_factor(w, cuts)[1]
+    cuts = [0, *cuts, len(w)]
+    return [tuple(x - a for x in b[a:c]) for a, c in zip(cuts, cuts[1:]) if c > a]
 
 
 def is_minimal_nonseparable_definitional(w: Window) -> bool:

@@ -8,6 +8,7 @@ is exact (Python integers never overflow).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -131,6 +132,7 @@ def from_counts(values: Sequence[int]) -> Poly:
     return Poly(coeffs)
 
 
+@lru_cache(maxsize=8)
 def group_poincare(n: int) -> Poly:
     """
     Length generating polynomial of the rank-n signed permutation group:

@@ -24,7 +24,7 @@ from array import array
 from typing import Iterable, Sequence
 
 from .patterns import is_separable, parabolic_factor
-from .reports import LemmaReport, SplittingReport
+from .reports import LemmaReport, SplittingReport, require_rank
 from .signed_perm import (
     Window,
     all_windows,
@@ -386,8 +386,7 @@ def verify_main_theorem(n: int, jobs: int = 1) -> LemmaReport:
     call this below an `if __name__ == "__main__":` guard: each worker
     re-imports the calling script, and without the guard the pool hangs.
     """
-    if not 2 <= n <= 6:
-        raise ValueError(f"supported ranks are 2..6, got {n}")
+    require_rank("theorem", n)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     results = _theorem_cases(n, min(jobs, os.cpu_count() or 1))

@@ -1,4 +1,4 @@
-"""Verification report records shared by the checking modules."""
+"""Verification report records, and the ranks each check accepts."""
 
 from __future__ import annotations
 
@@ -6,6 +6,28 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .signed_perm import format_window
+
+#: Check id -> (lowest, highest) rank it accepts, both inclusive.
+RANKS = {
+    "theorem": (2, 6),
+    "sign-structure": (3, 6),
+    "coefficient-shift": (3, 6),
+    "not-rank-symmetric": (3, 6),
+    "unique-reduced-word": (2, 6),
+    "factorization": (2, 6),
+    "rank-symmetry": (3, 6),
+    "product-identity": (2, 5),
+    "classifier-equivalence": (1, 5),
+    "minimality-equivalence": (1, 6),
+    "interval-identity": (1, 4),
+}
+
+
+def require_rank(check_id: str, n: int) -> None:
+    """Raise ValueError unless the check accepts rank n."""
+    lo, hi = RANKS[check_id]
+    if not lo <= n <= hi:
+        raise ValueError(f"{check_id} accepts ranks {lo}..{hi}, got {n}")
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,18 @@ def test_reduced_words(capsys):
     assert payload["words"] == ["2 1 0 1"]
 
 
+def test_reduced_words_list_is_bounded(capsys):
+    # w0 at rank 6 has 1,671,643,033,734,960 reduced words: refused before listing
+    code, out, err = run(capsys, "reduced-words", "-1 -2 -3 -4 -5 -6", "--list")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "1671643033734960" in err
+    code, out, _ = run(capsys, "reduced-words", "-1 -2 -3 -4", "--list",
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["words"]) == 24024
+
+
 def test_minimal_nonsep_window(capsys):
     code, out, _ = run(capsys, "minimal-nonsep", "-2 3 4 5 1", "--format", "json")
     assert code == 0

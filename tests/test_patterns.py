@@ -16,6 +16,7 @@ from bweyl.patterns import (
     is_minimal_nonseparable_definitional,
     is_minimal_nonseparable_fast,
     is_separable,
+    parabolic_blocks,
     parabolic_factor,
     st,
     sts,
@@ -123,6 +124,18 @@ def test_parabolic_factor_reconstructs_and_adds_lengths():
             q, s = parabolic_factor(w, removed)
             assert compose(q, s) == w
             assert length(w) == length(q) + length(s)
+
+
+def test_parabolic_blocks_rebuild_the_subgroup_factor():
+    for n in range(1, 5):
+        for w in all_windows(n):
+            for i in range(n):
+                blocks = parabolic_blocks(w, (i,))
+                # the literal block definition: signed before the cut, unsigned after
+                assert blocks == ([sts(w[:i])] if i else []) + [st(w[i:])]
+                offsets = [0, i] if i else [0]
+                rebuilt = tuple(x + a for a, b in zip(offsets, blocks) for x in b)
+                assert rebuilt == parabolic_factor(w, (i,))[1]
 
 
 def test_parabolic_factor_sampled_rank_five():

@@ -2,11 +2,13 @@
 
 import pytest
 
+from bweyl.cli import main
 from bweyl.polynomials import Poly
-from bweyl.reports import LemmaReport
-from bweyl.signed_perm import identity, length
+from bweyl.reports import RANKS, LemmaReport
+from bweyl.signed_perm import all_windows, identity, length
 from bweyl.theorems import (
     CHECKS,
+    _sweep,
     check_coefficient_shift,
     check_coefficient_shift_all,
     check_factorization_bijection,
@@ -143,6 +145,15 @@ def test_vacuous_reporting():
         assert not report.vacuous
 
 
+def test_sweep_driver_builds_the_report():
+    empty = _sweep("classifier-equivalence", 2, lambda n: [], lambda w: {"window": w})
+    assert (empty.universe_size, empty.passed, empty.vacuous) == (0, True, True)
+    found = _sweep("classifier-equivalence", 2, all_windows,
+                   lambda w: {"window": w} if w[0] < 0 else None)
+    assert (found.universe_size, found.passed, found.vacuous) == (8, False, False)
+    assert [x["window"] for x in found.witnesses] == [w for w in all_windows(2) if w[0] < 0]
+
+
 def test_checks_registry_runs_everything_small():
     needs_rank_three = {"sign-structure", "coefficient-shift",
                         "not-rank-symmetric", "rank-symmetry"}
@@ -161,3 +172,16 @@ def test_rank_guards():
         check_interval_identity(5)
     with pytest.raises(ValueError):
         check_unique_reduced_word(1)
+
+
+@pytest.mark.parametrize("check", sorted(RANKS))
+def test_rank_table_bounds_every_check(check, capsys):
+    assert sorted(RANKS) == sorted(CHECKS)
+    lo, hi = RANKS[check]
+    for n in (lo - 1, hi + 1):
+        with pytest.raises(ValueError, match=f"{lo}\\.\\.{hi}"):
+            CHECKS[check](n)
+        assert main(["verify", check, "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be in {lo}..{hi}\n"
