@@ -48,6 +48,7 @@ from .signed_perm import (
     group_order,
     identity,
     inverse,
+    inversion_mask,
     length,
     longest_element,
     parse_window,

@@ -19,6 +19,7 @@ from . import theorems
 from .catalog import CATALOGS
 from .patterns import (
     PATTERN_SETS,
+    _minimal,
     inverse_minimality_criterion,
     is_minimal_nonseparable_fast,
     is_separable,
@@ -28,7 +29,6 @@ from .reports import RANKS
 from .signed_perm import (
     all_windows,
     format_window,
-    inverse,
     length,
     parse_window,
     sort_windows,
@@ -42,7 +42,6 @@ from .weak_order import (
 )
 
 MAX_ELEMENT_RANK = 8
-MAX_EXHAUSTIVE_RANK = 6
 MAX_LISTED_WORDS = 100_000
 
 
@@ -58,6 +57,12 @@ def _window_arg(text: str):
     if len(w) > MAX_ELEMENT_RANK:
         raise UsageError(f"rank {len(w)} exceeds the element limit {MAX_ELEMENT_RANK}")
     return w
+
+
+def _require_n(check: str, n: int) -> None:
+    lo, hi = RANKS[check]
+    if not lo <= n <= hi:
+        raise UsageError(f"--n must be in {lo}..{hi}")
 
 
 def _plain(value) -> str:
@@ -114,9 +119,8 @@ def _cmd_minimal_nonsep(args) -> int:
     if args.list:
         if args.n is None:
             raise UsageError("--list needs --n")
-        if not 1 <= args.n <= MAX_EXHAUSTIVE_RANK:
-            raise UsageError(f"--n must be in 1..{MAX_EXHAUSTIVE_RANK}")
-        hits = [w for w in all_windows(args.n) if is_minimal_nonseparable_fast(w)]
+        _require_n("minimality-equivalence", args.n)  # same universe, same test
+        hits = [w for w in all_windows(args.n) if _minimal(w)]
         _emit({"n": args.n, "count": len(hits), "windows": _windows_payload(hits)},
               args.format)
         return 0
@@ -187,9 +191,7 @@ def _cmd_verify(args) -> int:
     if runner is None:
         known = ", ".join(sorted(theorems.CHECKS))
         raise UsageError(f"unknown check {args.check!r}; known: {known}")
-    lo, hi = RANKS[args.check]
-    if not lo <= args.n <= hi:
-        raise UsageError(f"--n must be in {lo}..{hi}")
+    _require_n(args.check, args.n)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:

@@ -8,6 +8,8 @@ subsequence of w standardizes (signed standardization) to p.  A window is
 separable exactly when it avoids the six forbidden patterns below; the
 quadruple families refine that test to recognize the minimal non-separable
 windows and those whose inverses stay minimal.
+The public predicates raise ValueError on a non-window; sweeps call the
+unvalidated cores (`_separable`, `_minimal`, ...) on windows they made.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .signed_perm import Window, identity, inverse
+from .signed_perm import Window, identity, inverse, validate_window
 
 #: The six forbidden patterns; avoiding all of them is separability.
 SEPARABLE_FORBIDDEN: tuple[Window, ...] = (
@@ -106,13 +108,8 @@ def contains_pattern(w: Sequence[int], p: Window) -> bool:
     >>> contains_pattern((1, 2, 3, 4), (2, 1))
     False
     """
-    m = len(p)
-    if m > len(w):
-        return False
-    for idx in combinations(range(len(w)), m):
-        if sts(tuple(w[i] for i in idx)) == p:
-            return True
-    return False
+    return any(sts(tuple(w[i] for i in idx)) == p
+               for idx in combinations(range(len(w)), len(p)))
 
 
 _FORBIDDEN_QUADS = frozenset(SEPARABLE_FORBIDDEN[2:])
@@ -135,10 +132,12 @@ def _has_forbidden_pair(w: Sequence[int]) -> bool:
 
 def _has_forbidden_quad(w: Sequence[int]) -> bool:
     """Whether w contains one of the four length-4 forbidden patterns."""
-    for idx in combinations(range(len(w)), 4):
-        if sts(tuple(w[i] for i in idx)) in _FORBIDDEN_QUADS:
-            return True
-    return False
+    return any(sts(tuple(w[i] for i in idx)) in _FORBIDDEN_QUADS
+               for idx in combinations(range(len(w)), 4))
+
+
+def _separable(w: Sequence[int]) -> bool:
+    return not _has_forbidden_pair(w) and not _has_forbidden_quad(w)
 
 
 def is_separable(w: Sequence[int]) -> bool:
@@ -146,7 +145,7 @@ def is_separable(w: Sequence[int]) -> bool:
     Whether w avoids all six forbidden patterns.  Unsigned windows can
     only meet the two all-positive quadruples, signed ones any of the six.
     """
-    return not _has_forbidden_pair(w) and not _has_forbidden_quad(w)
+    return _separable(validate_window(w))
 
 
 def parabolic_factor(
@@ -199,19 +198,38 @@ def parabolic_blocks(w: Window, removed: Iterable[int]) -> list[Window]:
     return [tuple(x - a for x in b[a:c]) for a, c in zip(cuts, cuts[1:]) if c > a]
 
 
+def _minimal_definitional(w: Window) -> bool:
+    return not _separable(w) and all(
+        _separable(block) for i in range(len(w)) for block in parabolic_blocks(w, (i,))
+    )
+
+
 def is_minimal_nonseparable_definitional(w: Window) -> bool:
     """
     Non-separable, but every maximal-parabolic restriction is separable:
     for each deleted generator index i, both standardized blocks of the
     subgroup factor avoid the six patterns.
     """
-    if is_separable(w):
+    return _minimal_definitional(validate_window(w))
+
+
+def _quad_through_last(w: Window, quads: frozenset[Window]) -> bool:
+    """Whether some quadruple ending at w_n standardizes (signed) into quads."""
+    wn = w[-1]
+    return any(sts((w[a], w[b], w[c], wn)) in quads
+               for a, b, c in combinations(range(len(w) - 1), 3))
+
+
+def _minimal(w: Window) -> bool:
+    if len(w) < 2:
         return False
-    n = len(w)
-    for i in range(n):
-        if not all(is_separable(block) for block in parabolic_blocks(w, (i,))):
-            return False
-    return True
+    prefix, wn = w[:-1], w[-1]
+    if _has_forbidden_pair(prefix) or _has_forbidden_quad(w):
+        return False
+    target = (-2, 1) if wn > 0 else (2, -1)
+    if not any(sts((x, wn)) == target for x in prefix):
+        return False
+    return not _quad_through_last(w, MINNONSEP_QUAD_POS if wn > 0 else MINNONSEP_QUAD_NEG)
 
 
 def is_minimal_nonseparable_fast(w: Window) -> bool:
@@ -222,21 +240,15 @@ def is_minimal_nonseparable_fast(w: Window) -> bool:
     length-2 violation matching the sign of w_n; and no quadruple through
     w_n standardizes into the forbidden family for that sign.
     """
+    return _minimal(validate_window(w))
+
+
+def _inverse_minimal(w: Window) -> bool:
     n = len(w)
-    if n < 2:
+    i = next(k for k in range(n) if abs(w[k]) == n)
+    if i == n - 1 or not _separable(sts(w[:i] + w[i + 1:])):
         return False
-    prefix = w[:-1]
-    wn = w[-1]
-    if _has_forbidden_pair(prefix) or _has_forbidden_quad(w):
-        return False
-    target = (-2, 1) if wn > 0 else (2, -1)
-    if not any(sts((x, wn)) == target for x in prefix):
-        return False
-    quads = MINNONSEP_QUAD_POS if wn > 0 else MINNONSEP_QUAD_NEG
-    for idx in combinations(range(n - 1), 3):
-        if sts((w[idx[0]], w[idx[1]], w[idx[2]], wn)) in quads:
-            return False
-    return True
+    return not _quad_through_last(w, INVERSE_QUAD_POS if w[-1] > 0 else INVERSE_QUAD_NEG)
 
 
 def inverse_minimality_criterion(w: Window) -> bool:
@@ -248,26 +260,13 @@ def inverse_minimality_criterion(w: Window) -> bool:
     family for the sign of w_n.  Raises ValueError when w is not minimal
     non-separable.
     """
-    if not is_minimal_nonseparable_fast(w):
-        raise ValueError(
-            f"criterion needs a minimal non-separable window, got {w!r}"
-        )
-    n = len(w)
-    i = next(k for k in range(n) if abs(w[k]) == n)
-    if i == n - 1:
-        return False
-    if not is_separable(sts(w[:i] + w[i + 1:])):
-        return False
-    wn = w[-1]
-    quads = INVERSE_QUAD_POS if wn > 0 else INVERSE_QUAD_NEG
-    for idx in combinations(range(n - 1), 3):
-        if sts((w[idx[0]], w[idx[1]], w[idx[2]], wn)) in quads:
-            return False
-    return True
+    w = validate_window(w)
+    if not _minimal(w):
+        raise ValueError(f"criterion needs a minimal non-separable window, got {w!r}")
+    return _inverse_minimal(w)
 
 
 def is_doubly_minimal(w: Window) -> bool:
     """Whether w and its inverse are both minimal non-separable."""
-    return is_minimal_nonseparable_fast(w) and is_minimal_nonseparable_fast(
-        inverse(w)
-    )
+    w = validate_window(w)
+    return _minimal(w) and _minimal(inverse(w))

@@ -2,7 +2,8 @@
 Generalized quotients and splitting verification.
 
 For a set U of signed permutations, the generalized quotient is the set
-of w whose products wu are length-additive against every u in U.  When U
+of w whose products wu are length-additive against every u in U, that is
+whose inversion mask misses the OR of the masks of the u^-1.  When U
 is the principal right interval below u, the quotient is itself a
 principal left interval generated by w0 * u^-1, which is how the checks
 here compute it.  A pair (X, Y) splits the group when multiplication
@@ -18,13 +19,14 @@ the reference the table path is tested against.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from array import array
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
-from .patterns import is_separable, parabolic_factor
-from .reports import LemmaReport, SplittingReport, require_rank
+from .patterns import _separable, parabolic_factor
+from .reports import LemmaReport, SplittingReport, lemma_report, require_rank
 from .signed_perm import (
     Window,
     all_windows,
@@ -33,31 +35,35 @@ from .signed_perm import (
     group_order,
     identity,
     inverse,
+    inversion_mask,
     left_mul_simple,
     length,
     longest_element,
     simple_reflection,
 )
-from .weak_order import interval_right, left_leq, lower_ideal_left, right_leq
+from .weak_order import interval_right, lower_ideal_left
+
+
+@lru_cache(maxsize=2)
+def _group_masks(n: int) -> dict[Window, int]:
+    """Every rank-n window with its inversion mask."""
+    return {w: inversion_mask(w) for w in all_windows(n)}
 
 
 def generalized_quotient(U: Iterable[Window], n: int) -> frozenset[Window]:
     """
-    The exact filter {w : length(w u) = length(w) + length(u) for all u in U}.
+    The exact filter {w : length(w u) = length(w) + length(u) for all u in U}:
+    w is kept when its inversion mask misses the OR of the masks of u^-1.
     """
-    members = sorted(set(U))
+    members = set(U)
     if not members:
         raise ValueError("generalized quotient of an empty set is degenerate")
-    for u in members:
-        if len(u) != n:
-            raise ValueError(f"rank mismatch: {format_window(u)} in rank-{n} group")
-    lengths = [length(u) for u in members]
-    out = []
-    for w in all_windows(n):
-        lw = length(w)
-        if all(length(compose(w, u)) == lw + lu for u, lu in zip(members, lengths)):
-            out.append(w)
-    return frozenset(out)
+    masks = _group_masks(n)
+    strays = members - masks.keys()
+    if strays:
+        raise ValueError(f"not rank-{n} windows: {sorted(strays, key=repr)!r}")
+    blocked = reduce(or_, (masks[inverse(u)] for u in members))
+    return frozenset(w for w, mask in masks.items() if not mask & blocked)
 
 
 def quotient_of_interval(u: Window) -> frozenset[Window]:
@@ -94,21 +100,12 @@ def _splitting_report(
         for y, ly in ys:
             xy = compose(x, y)
             if length(xy) != lx + ly:
-                return SplittingReport(
-                    False, True, counts,
-                    ("length-deficit", x, y),
-                )
+                return SplittingReport(False, True, counts, ("length-deficit", x, y))
             if universe is not None and xy not in universe:
-                return SplittingReport(
-                    False, True, counts,
-                    ("escapes-subgroup", x, y),
-                )
+                return SplittingReport(False, True, counts, ("escapes-subgroup", x, y))
             prior = seen.get(xy)
             if prior is not None:
-                return SplittingReport(
-                    False, True, counts,
-                    ("collision", prior[0], prior[1], x, y),
-                )
+                return SplittingReport(False, True, counts, ("collision", *prior, x, y))
             seen[xy] = (x, y)
     return SplittingReport(True, True, counts)
 
@@ -127,18 +124,14 @@ def is_splitting(
     return _splitting_report(Xs, Ys, None, group_order(n))
 
 
-def _greatest(Zs: Sequence[Window], leq) -> Window | None:
+def _greatest(Zs: Iterable[Window]) -> Window | None:
     """
-    The greatest element of Zs under the order leq, or None.  Everything
-    below another element is shorter, so it can only be the unique longest
-    element; in a finite poset it exists exactly when there is a unique
-    maximal element.
+    The greatest element of Zs in the left order, or None: the left order
+    is containment of inversion sets, so it is the element whose mask is
+    the union of all of theirs, if there is one.
     """
-    top = max(length(z) for z in Zs)
-    longest = [z for z in Zs if length(z) == top]
-    if len(longest) == 1 and all(leq(z, longest[0]) for z in Zs):
-        return longest[0]
-    return None
+    by_mask = {inversion_mask(z): z for z in Zs}
+    return by_mask.get(reduce(or_, by_mask, 0))
 
 
 def splitting_transport(
@@ -154,12 +147,12 @@ def splitting_transport(
     if not Xs or not Ys:
         raise ValueError("transport of an empty factor is degenerate")
     n = len(Xs[0])
-    x0 = _greatest(Xs, left_leq)
+    x0 = _greatest(Xs)
     if x0 is None:
         raise ValueError("no unique left-maximal element; not a splitting")
     w0 = longest_element(n)
-    y0 = _greatest(Ys, right_leq)
-    if y0 is None or compose(x0, y0) != w0:
+    y0_inv = _greatest(map(inverse, Ys))  # right order: left order of inverses
+    if y0_inv is None or compose(x0, inverse(y0_inv)) != w0:
         raise ValueError("maximal elements do not multiply to w0; not a splitting")
     x0_inv = inverse(x0)
     new_x = frozenset(compose(z, x0_inv) for z in Xs)
@@ -365,14 +358,16 @@ def _theorem_cases(n: int, jobs: int = 1) -> list[tuple[Window, bool, bool]]:
         if sizes[x_apex] * sizes[index[u_inv]] == tables.order:
             walks.append((x_apex, k))
     if jobs > 1 and walks:
-        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(n,)) as pool:
-            verdicts = pool.map(_worker_splits, walks,
-                                chunksize=max(1, len(walks) // (4 * jobs)))
+        # Imported here, as it costs every start-up about 20 ms and 1.5 MB.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(n,)) as pool:
+            verdicts = list(pool.map(_worker_splits, walks,
+                                     chunksize=max(1, len(walks) // (4 * jobs))))
     else:
         verdicts = [tables.splits(*case) for case in walks]
     splits = {k for (_, k), ok in zip(walks, verdicts) if ok}
     return sorted(
-        (u, is_separable(u), k in splits) for k, u in enumerate(tables.windows)
+        (u, _separable(u), k in splits) for k, u in enumerate(tables.windows)
     )
 
 
@@ -384,26 +379,15 @@ def verify_main_theorem(n: int, jobs: int = 1) -> LemmaReport:
     elements on failure.  jobs must be at least 1 and is capped at the
     CPU count.  With jobs > 1 under the spawn or forkserver start method,
     call this below an `if __name__ == "__main__":` guard: each worker
-    re-imports the calling script, and without the guard the pool hangs.
+    re-imports the calling script, and without the guard the workers fail
+    to start and the pool raises BrokenProcessPool.
     """
     require_rank("theorem", n)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     results = _theorem_cases(n, min(jobs, os.cpu_count() or 1))
-    witnesses = tuple(
-        {"window": u, "separable": sep, "splits": splits}
+    separable = sum(sep for _, sep, _ in results)
+    return lemma_report("splitting-theorem", n, [
+        None if sep == splits else {"window": u, "separable": sep, "splits": splits}
         for u, sep, splits in results
-        if sep != splits
-    )
-    separable_count = sum(1 for _, sep, _ in results if sep)
-    return LemmaReport(
-        lemma_id="splitting-theorem",
-        n=n,
-        universe_size=len(results),
-        passed=not witnesses,
-        witnesses=witnesses,
-        counts={
-            "separable": separable_count,
-            "non_separable": len(results) - separable_count,
-        },
-    )
+    ], {"separable": separable, "non_separable": len(results) - separable})

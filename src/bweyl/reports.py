@@ -17,9 +17,9 @@ RANKS = {
     "factorization": (2, 6),
     "rank-symmetry": (3, 6),
     "product-identity": (2, 5),
-    "classifier-equivalence": (1, 5),
+    "classifier-equivalence": (1, 6),
     "minimality-equivalence": (1, 6),
-    "interval-identity": (1, 4),
+    "interval-identity": (1, 5),
 }
 
 
@@ -52,6 +52,14 @@ class LemmaReport:
             "vacuous": self.vacuous,
             "counts": dict(sorted(self.counts.items())),
         }
+
+
+def lemma_report(lemma_id: str, n: int, found: list[dict | None],
+                 counts: dict[str, int] | None = None) -> LemmaReport:
+    """The report over a universe whose elements gave found, a witness or None each."""
+    witnesses = tuple(x for x in found if x is not None)
+    return LemmaReport(lemma_id, n, len(found), passed=not witnesses, witnesses=witnesses,
+                       vacuous=not found, counts=counts or {})
 
 
 @dataclass(frozen=True)

@@ -5,25 +5,30 @@ coordinates, with the recursive pivot test for separability.
 Roots are integer coordinate tuples of the ambient dimension n: the
 positive roots are e_i (1 <= i <= n) and -e_i + e_j, e_i + e_j
 (1 <= i < j <= n); the simple roots are a_0 = e_1 and a_i = -e_i + e_{i+1}.
-A subsystem is the intersection of the ambient roots with the span of a
-subset of simple roots; restriction of an inversion set to a subsystem is
-plain set intersection.
+A set of positive roots is an int mask, bit k for the k-th root in the
+order of signed_perm.inversion_mask.  A subsystem is the intersection of
+the ambient roots with the span of a subset of simple roots; restriction
+of an inversion set to a subsystem is an AND.
 
 Both facts about simple roots used here are closed forms (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, ch. 1-4 and App. A1): a root v is
 sum c_k * a_k with c_k = sum(v[k:]), each c_k in {0, 1, 2} for a positive
 root; and the Dynkin diagram is the path a_0 - a_1 - ... - a_{n-1}, so two
 simple roots are non-orthogonal exactly when they are neighbours on it.
+The roots with c_p >= 1 form the support of a_p: a subsystem drops the
+supports of the simple roots it leaves out, and the roots of a subsystem
+dominance-above a_p are its mask AND that support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterable
 
-from .signed_perm import Window, statistic_sets
+from .signed_perm import Window, inversion_mask
 
 Root = tuple[int, ...]
 
@@ -31,13 +36,13 @@ Root = tuple[int, ...]
 @dataclass(frozen=True)
 class RootSubsystem:
     """
-    A closed subsystem: its positive roots and its simple roots, which must
-    be some of a_0, ..., a_{n-1} in path order.
+    A closed subsystem: the mask of its positive roots and its simple
+    roots, which must be some of a_0, ..., a_{n-1} in path order.
     """
 
     ambient_rank: int
     simple_roots: tuple[Root, ...]
-    positive_roots: frozenset[Root]
+    mask: int
 
     def __post_init__(self) -> None:
         n = self.ambient_rank
@@ -48,10 +53,16 @@ class RootSubsystem:
         ):
             raise ValueError(f"simple roots off the path a_0, ..., a_{{n-1}}: "
                              f"{self.simple_roots!r}")
+        if not 0 <= self.mask < 1 << n * n:
+            raise ValueError(f"root mask {self.mask:#x} has bits off the rank-{n} roots")
 
     @property
     def rank(self) -> int:
         return len(self.simple_roots)
+
+    @property
+    def positive_roots(self) -> frozenset[Root]:  # decoded from the mask
+        return _decode(self.ambient_rank, self.mask)
 
 
 def _vector(n: int, *entries: tuple[int, int]) -> Root:
@@ -67,33 +78,42 @@ def _simple_root(n: int, p: int) -> Root:
     return _vector(n, (p - 1, -1), (p, 1)) if p else _vector(n, (0, 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
+def _tables(n: int) -> tuple[tuple[Root, ...], tuple[int, ...]]:
+    """
+    The rank-n positive roots in bit order, and the supports: support[p]
+    is the mask of the roots with a nonzero coefficient on a_p.
+    """
+    roots = [_vector(n, (i, 1)) for i in range(n)] + [
+        _vector(n, (i, s), (j, 1)) for i, j in combinations(range(n), 2) for s in (-1, 1)
+    ]
+    coeffs = [_coefficients(root) for root in roots]
+    return tuple(roots), tuple(
+        sum(1 << k for k, c in enumerate(coeffs) if c[p]) for p in range(n)
+    )
+
+
+def _decode(n: int, mask: int) -> frozenset[Root]:
+    """The rank-n positive roots whose bits are set in mask."""
+    return frozenset(root for k, root in enumerate(_tables(n)[0]) if mask >> k & 1)
+
+
+@lru_cache(maxsize=8)
 def full_system(n: int) -> RootSubsystem:
     """The full rank-n system: n^2 positive roots, simples (a_0, ..., a_{n-1})."""
     if n < 1:
         raise ValueError(f"rank must be a positive integer, got {n}")
-    positives = [_vector(n, (i, 1)) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            positives.append(_vector(n, (i, -1), (j, 1)))
-            positives.append(_vector(n, (i, 1), (j, 1)))
     simples = tuple(_simple_root(n, p) for p in range(n))
-    return RootSubsystem(n, simples, frozenset(positives))
+    return RootSubsystem(n, simples, (1 << n * n) - 1)
 
 
 def inversion_roots(w: Window) -> frozenset[Root]:
     """
     The positive roots sent negative by w: e_i for each negative place i,
     -e_i + e_j for each inversion (i, j), and e_i + e_j for each
-    negative-sum pair (i, j).  Their number equals the length of w.
+    negative-sum pair (i, j): inversion_mask(w) decoded.
     """
-    n = len(w)
-    neg, inv, nsp = statistic_sets(w)
-    return frozenset(
-        [_vector(n, (i - 1, 1)) for i in neg]
-        + [_vector(n, (i - 1, -1), (j - 1, 1)) for i, j in inv]
-        + [_vector(n, (i - 1, 1), (j - 1, 1)) for i, j in nsp]
-    )
+    return _decode(len(w), inversion_mask(w))
 
 
 def _coefficients(root: Root) -> tuple[int, ...]:
@@ -137,19 +157,18 @@ def subsystem_spanned_by(sys: RootSubsystem, kept: Iterable[int]) -> RootSubsyst
     The subsystem spanned by the simple roots of sys at the kept indices:
     those positive roots of sys whose nonzero coefficients all fall on the
     kept simple roots.  A root of sys has no coefficient off the simple
-    roots of sys, so only the dropped ones need a look.
+    roots of sys, so only the dropped ones need a look: their supports
+    are OR'd (they overlap) and taken out of the mask.
     """
     kept_idx = sorted(set(kept))
     for k in kept_idx:
         if not 0 <= k < sys.rank:
             raise ValueError(f"simple root index {k} out of range")
     simples = tuple(sys.simple_roots[k] for k in kept_idx)
-    dropped = [p for k, p in enumerate(_path_positions(sys)) if k not in kept_idx]
-    positives = frozenset(
-        beta for beta in sys.positive_roots
-        if not any(_coefficients(beta)[p] for p in dropped)
-    )
-    return RootSubsystem(sys.ambient_rank, simples, positives)
+    support = _tables(sys.ambient_rank)[1]
+    dropped = reduce(or_, (support[p] for k, p in enumerate(_path_positions(sys))
+                           if k not in kept_idx), 0)
+    return RootSubsystem(sys.ambient_rank, simples, sys.mask & ~dropped)
 
 
 def components(sys: RootSubsystem) -> list[RootSubsystem]:
@@ -170,37 +189,27 @@ def components(sys: RootSubsystem) -> list[RootSubsystem]:
     return [subsystem_spanned_by(sys, run) for run in runs]
 
 
-@lru_cache(maxsize=None)
-def _upper_set(sys: RootSubsystem, pivot_index: int) -> frozenset[Root]:
-    """Positive roots of sys dominance-above the given simple root."""
-    alpha = sys.simple_roots[pivot_index]
-    return frozenset(
-        beta for beta in sys.positive_roots if dominance_leq(alpha, beta, sys)
-    )
-
-
-def is_separable_recursive(I: frozenset[Root], sys: RootSubsystem) -> bool:
+def is_separable_recursive(I: int, sys: RootSubsystem) -> bool:
     """
-    The recursive pivot test for separability of an inversion set I inside
-    sys: rank 1 is separable; a reducible system is separable iff each
-    component is, with I restricted by intersection; an irreducible system
-    needs some simple root whose dominance upper set lies wholly inside I
-    or misses it, with the rest of the system recursively separable.
+    The recursive pivot test for separability of an inversion set I (a
+    root mask, e.g. inversion_mask(w)) inside sys: rank 1 is separable; a
+    reducible system is separable iff each component is, with I restricted
+    by AND; an irreducible system needs some simple root whose dominance
+    upper set lies wholly inside I or misses it, with the rest of the
+    system recursively separable.
     """
-    bad = I - sys.positive_roots
-    if bad:
-        raise ValueError(f"inversion set leaves the subsystem: {sorted(bad)!r}")
+    if I & ~sys.mask:
+        raise ValueError(f"inversion set {I:#x} leaves the subsystem {sys.mask:#x}")
     if sys.rank <= 1:
         return True
     comps = components(sys)
     if len(comps) > 1:
-        return all(
-            is_separable_recursive(I & comp.positive_roots, comp) for comp in comps
-        )
-    for idx in range(sys.rank):
-        upper = _upper_set(sys, idx)
-        if upper <= I or not (upper & I):
+        return all(is_separable_recursive(I & comp.mask, comp) for comp in comps)
+    support = _tables(sys.ambient_rank)[1]
+    for idx, p in enumerate(_path_positions(sys)):
+        upper = sys.mask & support[p]
+        if not upper & ~I or not upper & I:
             rest = subsystem_spanned_by(sys, [k for k in range(sys.rank) if k != idx])
-            if is_separable_recursive(I & rest.positive_roots, rest):
+            if is_separable_recursive(I & rest.mask, rest):
                 return True
     return False

@@ -14,6 +14,8 @@ s_i on the left acts on values, multiplying on the right acts on places.
 
 The word length of w in these generators decomposes into three statistics
 on the window: negative entries, inversions, and pairs with negative sum.
+Together they are the inversion set of w, kept as one int bitmask over
+the positive roots (`inversion_mask`).
 """
 
 from __future__ import annotations
@@ -218,19 +220,34 @@ def statistic_sets(w: Window) -> StatisticSets:
     >>> sorted(s.neg), sorted(s.inv), sorted(s.nsp)
     ([2], [(1, 2)], [(1, 2)])
     """
+    places = range(1, len(w) + 1)
+    pairs = list(itertools.combinations(places, 2))
+    return StatisticSets(
+        frozenset(i for i in places if w[i - 1] < 0),
+        frozenset((i, j) for i, j in pairs if w[i - 1] > w[j - 1]),
+        frozenset((i, j) for i, j in pairs if w[i - 1] + w[j - 1] < 0),
+    )
+
+
+def inversion_mask(w: Window) -> int:
+    """
+    The inversion set of w as an int over the n^2 positive roots, in the
+    order root_system.full_system lists them: bit i-1 is e_i, set when
+    w_i < 0; for the p-th pair i < j in lexicographic order, bit n+2p is
+    -e_i + e_j, set when w_i > w_j, and bit n+2p+1 is e_i + e_j, set when
+    w_i + w_j < 0.  Its popcount is the length.
+
+    >>> bin(inversion_mask((1, -2)))
+    '0b1110'
+    """
     n = len(w)
-    neg = frozenset(i for i in range(1, n + 1) if w[i - 1] < 0)
-    inv = []
-    nsp = []
-    for i in range(n - 1):
-        wi = w[i]
-        for j in range(i + 1, n):
-            wj = w[j]
-            if wi > wj:
-                inv.append((i + 1, j + 1))
-            if wi + wj < 0:
-                nsp.append((i + 1, j + 1))
-    return StatisticSets(neg, frozenset(inv), frozenset(nsp))
+    mask = sum(1 << i for i in range(n) if w[i] < 0)
+    bit = n
+    for i, wi in enumerate(w):
+        for wj in w[i + 1:]:
+            mask |= (wi > wj) << bit | (wi + wj < 0) << bit + 1
+            bit += 2
+    return mask
 
 
 def length(w: Window) -> int:

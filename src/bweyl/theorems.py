@@ -17,18 +17,18 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .patterns import (
-    inverse_minimality_criterion,
+    _inverse_minimal,
+    _minimal,
+    _minimal_definitional,
+    _separable,
     is_doubly_minimal,
-    is_minimal_nonseparable_definitional,
-    is_minimal_nonseparable_fast,
-    is_separable,
     parabolic_factor,
 )
 from .polynomials import Poly, group_poincare
 from .quotients import _splitting_report, quotient_interval_identity, verify_main_theorem
-from .reports import LemmaReport, require_rank
-from .root_system import full_system, inversion_roots, is_separable_recursive
-from .signed_perm import Window, all_windows, identity, inverse, length
+from .reports import LemmaReport, lemma_report, require_rank
+from .root_system import full_system, is_separable_recursive
+from .signed_perm import Window, all_windows, identity, inverse, inversion_mask, length
 from .weak_order import (
     interval_right,
     iter_reduced_words,
@@ -50,27 +50,18 @@ def _sweep(
     Check n against the check's accepted ranks, then run case on every
     element of universe(n); each element it returns a witness for fails.
 
-    >>> check_interval_identity(5)
+    >>> check_interval_identity(6)
     Traceback (most recent call last):
-    ValueError: interval-identity accepts ranks 1..4, got 5
+    ValueError: interval-identity accepts ranks 1..5, got 6
     """
     require_rank(check_id, n)
-    return _report(check_id, n, [case(w) for w in universe(n)], counts)
-
-
-def _report(
-    check_id: str, n: int, found: list[dict | None], counts: dict[str, int] | None = None
-) -> LemmaReport:
-    """The report over a universe whose elements gave found, a witness or None each."""
-    witnesses = tuple(x for x in found if x is not None)
-    return LemmaReport(check_id, n, len(found), passed=not witnesses, witnesses=witnesses,
-                       vacuous=not found, counts=counts or {})
+    return lemma_report(check_id, n, [case(w) for w in universe(n)], counts)
 
 
 @lru_cache(maxsize=4)  # one entry per rank the checks accept, 3..6
 def doubly_minimal_elements(n: int) -> tuple[Window, ...]:
     """Windows w with w and w^-1 both minimal non-separable."""
-    return tuple(w for w in all_windows(n) if is_doubly_minimal(w))
+    return tuple(w for w in all_windows(n) if _minimal(w) and _minimal(inverse(w)))
 
 
 def _pivot(w: Window) -> int:
@@ -89,18 +80,10 @@ def check_sign_structure(n: int) -> LemmaReport:
     def case(w: Window) -> dict | None:
         i = _pivot(w)
         before, after = w[:i], w[i + 1:-1]
-        if w[-1] < 0:
-            ordered = all(b > a > 0 for b in before for a in after)
-            sets_ok = (
-                set(before) == set(range(n - i - 1, n - 1))
-                and set(after) == set(range(1, n - i - 1))
-            )
-        else:
-            ordered = all(b < a < 0 for b in before for a in after)
-            sets_ok = (
-                set(before) == set(range(-(n - 2), -(n - i - 2)))
-                and set(after) == set(range(-(n - i - 2), 0))
-            )
+        s = 1 if w[-1] < 0 else -1  # the sign both runs must carry
+        ordered = all(s * b > s * a > 0 for b in before for a in after)
+        sets_ok = (set(before) == {s * x for x in range(n - i - 1, n - 1)}
+                   and set(after) == {s * x for x in range(1, n - i - 1)})
         return None if ordered and sets_ok else {"window": w, "pivot_place": i + 1}
 
     return _sweep("sign-structure", n, lambda n: (
@@ -148,8 +131,8 @@ def check_coefficient_shift(w: Window, sign: str) -> LemmaReport:
     case = _shift_case(w)
     if case is None or case[0] != sign:
         raise ValueError(f"{w!r} does not match the {sign} entry shape")
-    return _report("coefficient-shift", len(w), [_shift_witness(w, *case)],
-                   counts={"pivot_place": case[1] + 1, "length": length(w)})
+    return lemma_report("coefficient-shift", len(w), [_shift_witness(w, *case)],
+                        counts={"pivot_place": case[1] + 1, "length": length(w)})
 
 
 def check_coefficient_shift_all(n: int) -> LemmaReport:
@@ -184,13 +167,10 @@ def check_unique_reduced_word(n: int) -> LemmaReport:
         counts["length"] = length(w)
         expected = tuple(range(n - 1, 0, -1)) + tuple(range(0, n - 1))
         words = list(iter_reduced_words(w))
-        if length(w) == 2 * n - 2 and reduced_word_count(w) == 1 and words == [expected]:
+        count = reduced_word_count(w)
+        if length(w) == 2 * n - 2 and count == 1 and words == [expected]:
             return None
-        return {
-            "window": w,
-            "count": reduced_word_count(w),
-            "words": [list(x) for x in words[:3]],
-        }
+        return {"window": w, "count": count, "words": [list(x) for x in words[:3]]}
 
     return _sweep("unique-reduced-word", n,
                   lambda n: [identity(n)[: n - 2] + (-n, n - 1)], case, counts)
@@ -222,7 +202,7 @@ def check_factorization_bijection(w: Window) -> LemmaReport:
     n = len(w)
     if n < 2 or w[-2] != -n or w[-1] != n - 1:
         raise ValueError(f"{w!r} does not end in (-n, n-1)")
-    return _report("factorization", n, [_factorization_witness(w)])
+    return lemma_report("factorization", n, [_factorization_witness(w)])
 
 
 def check_factorization_bijection_all(n: int) -> LemmaReport:
@@ -245,7 +225,7 @@ def check_rank_symmetry_proposition(n: int) -> LemmaReport:
 
     return _sweep("rank-symmetry", n, lambda n: (
         w for w in all_windows(n)
-        if {abs(w[-1]), abs(w[-2])} == {n - 1, n} and is_minimal_nonseparable_fast(w)
+        if {abs(w[-1]), abs(w[-2])} == {n - 1, n} and _minimal(w)
     ), case)
 
 
@@ -268,7 +248,7 @@ def check_separable_product_identity(n: int) -> LemmaReport:
         return None if ok else {"window": w}
 
     return _sweep("product-identity", n,
-                  lambda n: (w for w in all_windows(n) if is_separable(w)), case)
+                  lambda n: (w for w in all_windows(n) if _separable(w)), case)
 
 
 def check_classifier_equivalence(n: int) -> LemmaReport:
@@ -277,8 +257,8 @@ def check_classifier_equivalence(n: int) -> LemmaReport:
     over the root system, on every rank-n window.
     """
     def case(w: Window) -> dict | None:
-        by_patterns = is_separable(w)
-        by_roots = is_separable_recursive(inversion_roots(w), full_system(n))
+        by_patterns = _separable(w)
+        by_roots = is_separable_recursive(inversion_mask(w), full_system(n))
         if by_patterns == by_roots:
             return None
         return {"window": w, "patterns": by_patterns, "recursive": by_roots}
@@ -295,13 +275,13 @@ def check_minimality_equivalence(n: int) -> LemmaReport:
     counts = {"minimal_nonseparable": 0}
 
     def case(w: Window) -> dict | None:
-        fast = is_minimal_nonseparable_fast(w)
-        if fast != is_minimal_nonseparable_definitional(w):
+        fast = _minimal(w)
+        if fast != _minimal_definitional(w):
             return {"window": w, "disagreement": "minimality"}
         if not fast:
             return None
         counts["minimal_nonseparable"] += 1
-        if inverse_minimality_criterion(w) == is_minimal_nonseparable_fast(inverse(w)):
+        if _inverse_minimal(w) == _minimal(inverse(w)):
             return None
         return {"window": w, "disagreement": "inverse-minimality"}
 

@@ -2,12 +2,13 @@
 The two weak orders on signed permutations, their principal ideals, rank
 generating polynomials, and reduced word counting.
 
-u <= w on the left exactly when all three window statistics of u are
-contained in those of w; the right order is the left order after
-inverting.  Principal ideals are enumerated by breadth-first search
-through cover relations (left multiplication by a generator that changes
-the length by one), layer by layer, so every ideal is materialized with
-its grading.
+u <= w on the left exactly when the inversion set of u is contained in
+that of w (one AND of inversion masks); the right order is the left
+order after inverting.  Lower ideals are enumerated by breadth-first
+search down through cover relations (left multiplication by a generator
+that shortens), layer by layer, so every ideal is materialized with its
+grading.  The longest element w0 = -1 is central and x -> w0 * x
+reverses the left order, so an upper ideal is a lower ideal negated.
 """
 
 from __future__ import annotations
@@ -20,20 +21,19 @@ from .signed_perm import (
     Window,
     identity,
     inverse,
+    inversion_mask,
     left_descents,
     left_mul_simple,
     length,
-    statistic_sets,
     validate_window,
 )
 
 
 def left_leq(u: Window, w: Window) -> bool:
-    """Left order: the three statistic sets of u all sit inside those of w."""
+    """Left order: the inversion set of u sits inside that of w."""
     if len(u) != len(w):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(w)}")
-    su, sw = statistic_sets(u), statistic_sets(w)
-    return su.neg <= sw.neg and su.inv <= sw.inv and su.nsp <= sw.nsp
+    return not inversion_mask(u) & ~inversion_mask(w)
 
 
 def right_leq(u: Window, w: Window) -> bool:
@@ -44,12 +44,6 @@ def right_leq(u: Window, w: Window) -> bool:
 def lower_covers_left(w: Window) -> frozenset[Window]:
     """The elements s_i * w one step below w in the left order."""
     return frozenset(left_mul_simple(i, w) for i in left_descents(w))
-
-
-def left_ascents(w: Window) -> list[int]:
-    """Generator indices i with length(s_i * w) = length(w) + 1."""
-    desc = set(left_descents(w))
-    return [i for i in range(len(w)) if i not in desc]
 
 
 @dataclass(frozen=True)
@@ -73,14 +67,14 @@ class Ideal:
         return rank_polynomial(self)
 
 
-def _bfs(seed: Window, down: bool) -> frozenset[Window]:
+def _bfs(seed: Window) -> frozenset[Window]:
+    """Everything below seed in the left order, down through lower covers."""
     seen = {seed}
     frontier = [seed]
     while frontier:
         nxt = []
         for x in frontier:
-            steps = left_descents(x) if down else left_ascents(x)
-            for i in steps:
+            for i in left_descents(x):
                 y = left_mul_simple(i, x)
                 if y not in seen:
                     seen.add(y)
@@ -92,13 +86,17 @@ def _bfs(seed: Window, down: bool) -> frozenset[Window]:
 def lower_ideal_left(w: Window) -> Ideal:
     """All u <= w in the left order, by downward search through covers."""
     w = validate_window(w)
-    return Ideal("lower-left", w, _bfs(w, down=True))
+    return Ideal("lower-left", w, _bfs(w))
 
 
 def upper_ideal_left(w: Window) -> Ideal:
-    """All u >= w in the left order, by upward search through covers."""
+    """
+    All u >= w in the left order: x -> w0 * x = -x reverses the order, so
+    they are the negated elements of the lower ideal of -w.
+    """
     w = validate_window(w)
-    return Ideal("upper-left", w, _bfs(w, down=False))
+    below = _bfs(tuple(-x for x in w))
+    return Ideal("upper-left", w, frozenset(tuple(-x for x in v) for v in below))
 
 
 def interval_right(u: Window) -> Ideal:
@@ -107,7 +105,7 @@ def interval_right(u: Window) -> Ideal:
     of the inverse.
     """
     u = validate_window(u)
-    below = _bfs(inverse(u), down=True)
+    below = _bfs(inverse(u))
     return Ideal("lower-right", u, frozenset(inverse(x) for x in below))
 
 

@@ -18,7 +18,14 @@ from bweyl.patterns import (
 from bweyl.polynomials import Poly, from_counts, group_poincare
 from bweyl.quotients import quotient_interval_identity, verify_main_theorem
 from bweyl.root_system import full_system, inversion_roots, is_separable_recursive
-from bweyl.signed_perm import all_windows, compose, inverse, length, longest_element
+from bweyl.signed_perm import (
+    all_windows,
+    compose,
+    inverse,
+    inversion_mask,
+    length,
+    longest_element,
+)
 from bweyl.theorems import (
     check_coefficient_shift,
     check_coefficient_shift_all,
@@ -90,7 +97,7 @@ def test_criterion_05_classifier_equivalence():
             sys = full_system(n)
             for w in all_windows(n):
                 assert is_separable(w) == is_separable_recursive(
-                    inversion_roots(w), sys
+                    inversion_mask(w), sys
                 ), w
                 checked += 1
         assert checked == 440

@@ -220,6 +220,20 @@ def test_longest_multiplication_preserves_minimality():
                 assert not is_separable(compose(w, w0))
 
 
+@pytest.mark.parametrize("predicate", [
+    is_separable,
+    is_minimal_nonseparable_fast,
+    is_minimal_nonseparable_definitional,
+    inverse_minimality_criterion,
+    is_doubly_minimal,
+], ids=lambda f: f.__name__)
+def test_predicates_reject_malformed_windows(predicate):
+    # is_separable((0, 0, 0)) used to answer True
+    for bad in ((0, 0, 0), (1, 1), (5, 7), (2, -2, 1), ()):
+        with pytest.raises(ValueError, match="not a signed permutation window"):
+            predicate(bad)
+
+
 def test_pattern_set_registry():
     assert set(PATTERN_SETS) == {
         "sep-forbidden-6",

@@ -1,6 +1,12 @@
 """Generalized quotients, interval identity, splittings, transports."""
 
+import concurrent.futures
+import os
+import signal
+import subprocess
+import sys
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +15,7 @@ from bweyl.patterns import is_separable
 from bweyl.polynomials import from_counts, group_poincare
 from bweyl.quotients import (
     _GroupTables,
+    _greatest,
     _lower_ideal_sizes,
     _theorem_cases,
     quotient_interval_identity,
@@ -40,6 +47,14 @@ def subsets(ns):
 # ------------------------------------------------------- generalized quotients
 
 
+def literal_quotient(U, n):
+    """The exact filter by its definition: compose, then compare lengths."""
+    return frozenset(
+        w for w in all_windows(n)
+        if all(length(compose(w, u)) == length(w) + length(u) for u in U)
+    )
+
+
 def test_generalized_quotient_degenerate_cases():
     n = 3
     everything = frozenset(all_windows(n))
@@ -49,6 +64,17 @@ def test_generalized_quotient_degenerate_cases():
         generalized_quotient(set(), n)
     with pytest.raises(ValueError):
         generalized_quotient({identity(2)}, 3)
+    with pytest.raises(ValueError):
+        generalized_quotient({identity(3), (1, 1, 3)}, 3)
+
+
+def test_generalized_quotient_matches_compose_and_length_filter():
+    for n in (1, 2, 3):
+        everything = frozenset(all_windows(n))
+        cases = [interval_right(u).elements for u in everything]
+        cases += [{identity(n)}, everything, {longest_element(n)}]
+        for U in cases:
+            assert generalized_quotient(U, n) == literal_quotient(U, n), (n, sorted(U))
 
 
 def test_quotient_of_interval_rank_two():
@@ -175,6 +201,19 @@ def test_transport_rejects_non_splitting():
         splitting_transport({identity(n)}, X)
 
 
+def test_greatest_element_matches_the_length_definition():
+    # u <= w on the left iff l(w) = l(u) + l(w u^-1); every nonempty subset
+    # of the rank-2 group
+    def below(u, w):
+        return length(w) == length(u) + length(compose(w, inverse(u)))
+
+    group = sorted(all_windows(2))
+    for Z in map(list, subsets(group)):
+        if Z:
+            tops = [g for g in Z if all(below(z, g) for z in Z)]
+            assert _greatest(Z) == (tops[0] if tops else None), Z
+
+
 def test_transport_and_restriction_reject_empty_factors():
     with pytest.raises(ValueError):
         splitting_transport([], [])
@@ -260,14 +299,14 @@ def test_main_theorem_rejects_jobs_below_one():
 
 
 class _InProcessPool:
-    """Stands in for multiprocessing.Pool: records the pool size and runs
-    the pool's work in this process."""
+    """Stands in for concurrent.futures.ProcessPoolExecutor: records the
+    pool size and runs the pool's work in this process."""
 
     def __init__(self):
         self.sizes = []
 
-    def __call__(self, processes, initializer, initargs):
-        self.sizes.append(processes)
+    def __call__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
         initializer(*initargs)
         return self
 
@@ -284,13 +323,45 @@ class _InProcessPool:
 def test_main_theorem_jobs_capped_at_cpu_count(monkeypatch):
     pool = _InProcessPool()
     monkeypatch.setattr(quotients, "_worker_tables", None)
-    monkeypatch.setattr(quotients.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(quotients.os, "cpu_count", lambda: 2)
     assert verify_main_theorem(3, jobs=64) == verify_main_theorem(3)
     assert pool.sizes == [2]
     monkeypatch.setattr(quotients.os, "cpu_count", lambda: 1)
     verify_main_theorem(3, jobs=64)
     assert pool.sizes == [2]  # capped to one process: no pool
+
+
+UNGUARDED_SPAWN_CALLER = """
+import multiprocessing
+import os
+
+from bweyl.quotients import verify_main_theorem
+
+multiprocessing.set_start_method("spawn", force=True)
+os.cpu_count = lambda: 2
+verify_main_theorem(3, jobs=2)
+"""
+
+
+def test_unguarded_spawn_caller_fails_instead_of_hanging(tmp_path):
+    # Each spawned worker re-runs this script, which has no __main__ guard,
+    # and fails to start; the pool must give up rather than respawn it.
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SPAWN_CALLER)
+    src = str(Path(quotients.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the pool kept replacing workers that failed to start")
+    assert proc.returncode != 0
+    assert b"BrokenProcessPool" in err
 
 
 def test_table_sweep_matches_tuple_path():

@@ -1,7 +1,10 @@
 """Root coordinates, dominance, subsystems, and the recursive pivot test."""
 
+import importlib
+import pkgutil
 from itertools import combinations, product
 
+import bweyl
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +13,8 @@ from bweyl.catalog import B2_SEPARABLE
 from bweyl.root_system import (
     RootSubsystem,
     _coefficients,
+    _path_positions,
+    _tables,
     components,
     dominance_leq,
     full_system,
@@ -18,7 +23,14 @@ from bweyl.root_system import (
     subsystem_spanned_by,
 )
 from bweyl.patterns import is_separable
-from bweyl.signed_perm import all_windows, identity, length, longest_element
+from bweyl.signed_perm import (
+    all_windows,
+    identity,
+    inversion_mask,
+    length,
+    longest_element,
+    statistic_sets,
+)
 
 
 def test_full_system_shape():
@@ -32,7 +44,7 @@ def test_full_system_shape():
 
 
 def test_subsystem_simple_roots_must_sit_on_the_path():
-    assert RootSubsystem(3, ((1, 0, 0), (0, -1, 1)), frozenset()).rank == 2
+    assert RootSubsystem(3, ((1, 0, 0), (0, -1, 1)), 0).rank == 2
     for n, simples in (
         (2, ((0, 1), (1, -1))),  # independent, but not a_0, a_1
         (2, ((-1, 1), (1, 0))),  # out of path order
@@ -42,7 +54,7 @@ def test_subsystem_simple_roots_must_sit_on_the_path():
         (1, ((0,),)),
     ):
         with pytest.raises(ValueError):
-            RootSubsystem(n, simples, frozenset())
+            RootSubsystem(n, simples, 0)
 
 
 def test_inversion_roots_named_values():
@@ -63,6 +75,41 @@ def test_inversion_root_count_is_length():
             roots = inversion_roots(w)
             assert roots <= positives
             assert len(roots) == length(w)
+
+
+def test_inversion_roots_match_the_statistic_sets():
+    # the coordinate form the mask replaced, built from the three statistics
+    def vector(n, *entries):
+        v = [0] * n
+        for place, value in entries:
+            v[place - 1] = value
+        return tuple(v)
+
+    for n in (1, 2, 3, 4):
+        for w in all_windows(n):
+            neg, inv, nsp = statistic_sets(w)
+            expected = frozenset(
+                [vector(n, (i, 1)) for i in neg]
+                + [vector(n, (i, -1), (j, 1)) for i, j in inv]
+                + [vector(n, (i, 1), (j, 1)) for i, j in nsp]
+            )
+            assert inversion_roots(w) == expected, w
+            assert RootSubsystem(n, (), inversion_mask(w)).positive_roots == expected
+
+
+def test_root_mask_bits_off_the_system_are_rejected():
+    with pytest.raises(ValueError):
+        RootSubsystem(2, (), 1 << 4)
+    with pytest.raises(ValueError):
+        RootSubsystem(2, (), -1)
+
+
+def test_every_cache_is_bounded():
+    for info in pkgutil.iter_modules(bweyl.__path__):
+        module = importlib.import_module(f"bweyl.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                assert value.cache_parameters()["maxsize"] is not None, (info.name, name)
 
 
 def test_inversion_roots_determine_element():
@@ -130,20 +177,20 @@ def test_recursive_oracle_on_rank_two():
     sys2 = full_system(2)
     separable = {
         w for w in all_windows(2)
-        if is_separable_recursive(inversion_roots(w), sys2)
+        if is_separable_recursive(inversion_mask(w), sys2)
     }
     assert separable == set(B2_SEPARABLE)
-    assert not is_separable_recursive(inversion_roots((-2, 1)), sys2)
-    assert is_separable_recursive(inversion_roots((1, -2)), sys2)
+    assert not is_separable_recursive(inversion_mask((-2, 1)), sys2)
+    assert is_separable_recursive(inversion_mask((1, -2)), sys2)
 
 
 def test_recursive_oracle_accepts_empty_set():
-    assert is_separable_recursive(frozenset(), full_system(3))
+    assert is_separable_recursive(0, full_system(3))
 
 
 def test_recursive_oracle_rejects_foreign_vectors():
     with pytest.raises(ValueError):
-        is_separable_recursive(frozenset({(2, 0)}), full_system(2))
+        is_separable_recursive(1 << 4, full_system(2))  # past the 4 roots
 
 
 def test_recursive_oracle_matches_pattern_test_small_ranks():
@@ -151,7 +198,7 @@ def test_recursive_oracle_matches_pattern_test_small_ranks():
         sys = full_system(n)
         for w in all_windows(n):
             assert is_separable(w) == is_separable_recursive(
-                inversion_roots(w), sys
+                inversion_mask(w), sys
             ), w
 
 
@@ -194,7 +241,8 @@ def subsets(k):
 
 
 def test_subsystem_matches_span_membership():
-    for n in range(1, 5):
+    # ranks 5 and 6 too: classifier-equivalence runs the pivot test there
+    for n in range(1, 7):
         sys = full_system(n)
         for kept in subsets(n):
             simples = [sys.simple_roots[k] for k in kept]
@@ -238,3 +286,25 @@ def test_dominance_matches_definition():
             for beta in sys.positive_roots:
                 diff = tuple(b - a for a, b in zip(alpha, beta))
                 assert dominance_leq(alpha, beta, sys) == (diff in above_zero)
+
+
+def test_nested_subsystems_match_direct_ones():
+    n = 5
+    sys = full_system(n)
+    for outer in subsets(n):
+        sub = subsystem_spanned_by(sys, outer)
+        for inner in subsets(len(outer)):
+            nested = subsystem_spanned_by(sub, inner)
+            assert nested == subsystem_spanned_by(sys, [outer[k] for k in inner])
+
+
+def test_support_masks_are_the_dominance_upper_sets():
+    # what the pivot test reads in place of a search through dominance_leq
+    for n in range(1, 5):
+        support = _tables(n)[1]
+        sys = full_system(n)
+        for kept in subsets(n):
+            sub = subsystem_spanned_by(sys, kept)
+            for alpha, p in zip(sub.simple_roots, _path_positions(sub)):
+                above = {b for b in sub.positive_roots if dominance_leq(alpha, b, sub)}
+                assert RootSubsystem(n, (), sub.mask & support[p]).positive_roots == above

@@ -1,6 +1,7 @@
 """Core window arithmetic, checked against a signed permutation-matrix oracle."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from bweyl.signed_perm import (
     group_order,
     identity,
     inverse,
+    inversion_mask,
     is_window,
     left_descents,
     left_mul_simple,
@@ -174,6 +176,48 @@ def test_length_formulas_agree_exhaustively():
         for w in all_windows(n):
             neg, inv, nsp = statistic_sets(w)
             assert length(w) == len(neg) + len(inv) + len(nsp)
+
+
+def positive_roots_in_bit_order(n):
+    """e_i for each i, then -e_i + e_j and e_i + e_j for each pair i < j."""
+    def vector(*entries):
+        v = [0] * n
+        for place, value in entries:
+            v[place] = value
+        return v
+
+    roots = [vector((i, 1)) for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        roots += [vector((i, -1), (j, 1)), vector((i, 1), (j, 1))]
+    return roots
+
+
+def is_positive(v):
+    """A root is positive when its last nonzero coordinate is."""
+    return next(c for c in reversed(v) if c) > 0
+
+
+def test_inversion_mask_is_the_literal_inversion_set():
+    # bit k is set exactly when w sends the k-th positive root negative
+    for n in (1, 2, 3, 4, 5):
+        roots = positive_roots_in_bit_order(n)
+        for w in all_windows(n):
+            m = matrix(w)
+            sent_negative = [
+                not is_positive([sum(m[r][c] * root[c] for c in range(n)) for r in range(n)])
+                for root in roots
+            ]
+            mask = inversion_mask(w)
+            assert mask == sum(1 << k for k, neg in enumerate(sent_negative) if neg), w
+            assert mask.bit_count() == length(w), w
+
+
+def test_inversion_mask_named_values():
+    assert inversion_mask(identity(4)) == 0
+    assert inversion_mask(longest_element(3)) == (1 << 9) - 1
+    assert inversion_mask((-1, 2)) == 0b0001  # e_1
+    assert inversion_mask((2, 1)) == 0b0100  # -e_1 + e_2
+    assert inversion_mask((1, -2)) == 0b1110  # e_2, -e_1 + e_2, e_1 + e_2
 
 
 def test_left_multiplication_changes_length_by_one():

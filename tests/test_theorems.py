@@ -169,7 +169,7 @@ def test_rank_guards():
     with pytest.raises(ValueError):
         check_separable_product_identity(6)
     with pytest.raises(ValueError):
-        check_interval_identity(5)
+        check_interval_identity(6)
     with pytest.raises(ValueError):
         check_unique_reduced_word(1)
 

@@ -13,6 +13,7 @@ from bweyl.signed_perm import (
     compose,
     identity,
     inverse,
+    inversion_mask,
     length,
     longest_element,
     simple_reflection,
@@ -52,6 +53,31 @@ def test_left_leq_matches_length_definition():
         for w in all_windows(3):
             expected = length(w) == lu + length(compose(w, ui))
             assert left_leq(u, w) == expected
+
+
+def test_mask_containment_is_the_statistic_set_order():
+    for n in (1, 2, 3, 4):
+        stats = {w: statistic_sets(w) for w in all_windows(n)}
+        masks = {w: inversion_mask(w) for w in stats}
+        for u, su in stats.items():
+            for w, sw in stats.items():
+                by_sets = su.neg <= sw.neg and su.inv <= sw.inv and su.nsp <= sw.nsp
+                assert (not masks[u] & ~masks[w]) == by_sets, (u, w)
+                if n <= 3:
+                    assert left_leq(u, w) == by_sets, (u, w)
+
+
+def test_length_additivity_is_mask_disjointness():
+    # l(xy) = l(x) + l(y) exactly when the inversion sets of x and y^-1 miss
+    for n in (1, 2, 3, 4):
+        ws = list(all_windows(n))
+        masks = {w: inversion_mask(w) for w in ws}
+        inverse_masks = {w: masks[inverse(w)] for w in ws}
+        lengths = {w: length(w) for w in ws}
+        for x in ws:
+            for y in ws:
+                additive = length(compose(x, y)) == lengths[x] + lengths[y]
+                assert additive == (not masks[x] & inverse_masks[y]), (x, y)
 
 
 def test_right_leq_named_values():
@@ -146,6 +172,15 @@ def test_upper_ideal_matches_direct_filter():
             if sw.neg <= su.neg and sw.inv <= su.inv and sw.nsp <= su.nsp
         )
         assert upper_ideal_left(w).elements == expected
+
+
+def test_upper_ideal_polynomial_is_the_reversed_lower_one_through_w0():
+    # w -> w0 * w reverses the left order, so P_U(w) is P_L(w0 * w) reversed
+    for n in (2, 3, 4):
+        w0 = longest_element(n)
+        for w in all_windows(n):
+            upper = rank_polynomial(upper_ideal_left(w))
+            assert upper == rank_polynomial(lower_ideal_left(compose(w0, w))).reversed(), w
 
 
 def test_interval_right_named_values():
