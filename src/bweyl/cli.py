@@ -2,7 +2,9 @@
 Command line surface.
 
 Exit status: 0 for answered queries and passing checks, 1 when a check
-finds a counterexample or a split-check fails, 2 for usage errors.
+finds a counterexample or a split-check fails, 2 for usage errors and
+for input the library rejects with ValueError (a malformed window, an
+ideal over its element limit).
 Windows are passed as quoted strings of signed decimals ("-2 3 4 5 1").
 """
 
@@ -50,10 +52,7 @@ class UsageError(Exception):
 
 
 def _window_arg(text: str):
-    try:
-        w = parse_window(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    w = parse_window(text)
     if len(w) > MAX_ELEMENT_RANK:
         raise UsageError(f"rank {len(w)} exceeds the element limit {MAX_ELEMENT_RANK}")
     return w
@@ -194,10 +193,7 @@ def _cmd_verify(args) -> int:
     _require_n(args.check, args.n)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    try:
-        report = runner(args.n, jobs=args.jobs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = runner(args.n, jobs=args.jobs)
     _emit(report.to_json(), args.format)
     return 0 if report.passed else 1
 
@@ -321,7 +317,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # the library rejects bad input by ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -112,9 +112,6 @@ def contains_pattern(w: Sequence[int], p: Window) -> bool:
                for idx in combinations(range(len(w)), len(p)))
 
 
-_FORBIDDEN_QUADS = frozenset(SEPARABLE_FORBIDDEN[2:])
-
-
 def _has_forbidden_pair(w: Sequence[int]) -> bool:
     """
     Whether w contains (-2, 1) or (2, -1), by a direct scan: a negated
@@ -131,9 +128,21 @@ def _has_forbidden_pair(w: Sequence[int]) -> bool:
 
 
 def _has_forbidden_quad(w: Sequence[int]) -> bool:
-    """Whether w contains one of the four length-4 forbidden patterns."""
-    return any(sts(tuple(w[i] for i in idx)) in _FORBIDDEN_QUADS
-               for idx in combinations(range(len(w)), 4))
+    """
+    Whether w contains one of the four length-4 forbidden patterns, by
+    comparing entries directly.  Each pattern has one sign throughout.
+    On positive entries magnitudes order as values, so (3, 1, 4, 2) is the
+    value chain b < d < a < c and (2, 4, 1, 3) is c < a < d < b.  On
+    negative entries the value order is the magnitude order reversed, so
+    (-3, -1, -4, -2) is c < a < d < b and (-2, -4, -1, -3) is
+    b < d < a < c.  A quadruple (a, b, c, d) therefore matches when one
+    of the two chains holds and all four entries share a sign; along a
+    chain that is its least and greatest entry sharing one.
+    """
+    for a, b, c, d in combinations(w, 4):
+        if (b < d < a < c and (b > 0 or c < 0)) or (c < a < d < b and (c > 0 or b < 0)):
+            return True
+    return False
 
 
 def _separable(w: Sequence[int]) -> bool:

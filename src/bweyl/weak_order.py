@@ -6,17 +6,21 @@ u <= w on the left exactly when the inversion set of u is contained in
 that of w (one AND of inversion masks); the right order is the left
 order after inverting.  Lower ideals are enumerated by breadth-first
 search down through cover relations (left multiplication by a generator
-that shortens), layer by layer, so every ideal is materialized with its
-grading.  The longest element w0 = -1 is central and x -> w0 * x
+that shortens), one length level at a time: every lower cover is one
+shorter than the element above it, so the k-th level is exactly the
+elements k below the apex.  An ideal keeps the sizes of its levels, so it
+is materialized with its grading and its rank polynomial needs no length
+computation.  The longest element w0 = -1 is central and x -> w0 * x
 reverses the left order, so an upper ideal is a lower ideal negated.
+Every ideal is capped at MAX_IDEAL_ELEMENTS elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .polynomials import Poly, from_counts
+from .polynomials import Poly
 from .signed_perm import (
     Window,
     identity,
@@ -27,6 +31,11 @@ from .signed_perm import (
     length,
     validate_window,
 )
+
+#: The most elements one ideal may hold: |W_7|, the whole rank-7 group.
+#: An ideal that outgrows it raises ValueError before memory runs away
+#: (the whole rank-8 group is 10,321,920 elements, several gigabytes).
+MAX_IDEAL_ELEMENTS = 645_120
 
 
 def left_leq(u: Window, w: Window) -> bool:
@@ -48,11 +57,16 @@ def lower_covers_left(w: Window) -> frozenset[Window]:
 
 @dataclass(frozen=True)
 class Ideal:
-    """A principal order ideal, materialized with its generating element."""
+    """
+    A principal order ideal, materialized with its generating element and
+    the sizes of its length levels counted outward from the apex (down
+    from the top for the lower ideals, up from the bottom for the upper).
+    """
 
     kind: str  # "lower-left" | "upper-left" | "lower-right"
     apex: Window
     elements: frozenset[Window]
+    level_sizes: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -67,26 +81,51 @@ class Ideal:
         return rank_polynomial(self)
 
 
-def _bfs(seed: Window) -> frozenset[Window]:
-    """Everything below seed in the left order, down through lower covers."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in left_descents(x):
-                y = left_mul_simple(i, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+def _levels(seed: Window) -> Iterator[set[Window]]:
+    """
+    Everything below seed in the left order, one length level at a time
+    from seed down.  A lower cover is one shorter than its element, so
+    duplicates only arise within a level.  Raises ValueError once the
+    levels so far hold more than MAX_IDEAL_ELEMENTS elements.
+    """
+    layer = {seed}
+    total = 0
+    while layer:
+        total += len(layer)
+        if total > MAX_IDEAL_ELEMENTS:
+            raise ValueError(
+                f"ideal exceeds the element limit {MAX_IDEAL_ELEMENTS}: "
+                f"{total} elements reached"
+            )
+        yield layer
+        layer = {left_mul_simple(i, x) for x in layer for i in left_descents(x)}
+
+
+def _ideal(kind: str, apex: Window, seed: Window,
+           image: Callable[[Window], Window] | None = None) -> Ideal:
+    """
+    The ideal of the given kind: the levels below seed, each mapped
+    through image as it is produced, so no second full-size set is built.
+    """
+    sizes: list[int] = []
+
+    def walk() -> Iterator[Window]:
+        for layer in _levels(seed):
+            sizes.append(len(layer))
+            yield from layer if image is None else map(image, layer)
+
+    elements = frozenset(walk())
+    return Ideal(kind, apex, elements, tuple(sizes))
+
+
+def _negate(w: Window) -> Window:
+    return tuple(-x for x in w)
 
 
 def lower_ideal_left(w: Window) -> Ideal:
     """All u <= w in the left order, by downward search through covers."""
     w = validate_window(w)
-    return Ideal("lower-left", w, _bfs(w))
+    return _ideal("lower-left", w, w)
 
 
 def upper_ideal_left(w: Window) -> Ideal:
@@ -95,8 +134,7 @@ def upper_ideal_left(w: Window) -> Ideal:
     they are the negated elements of the lower ideal of -w.
     """
     w = validate_window(w)
-    below = _bfs(tuple(-x for x in w))
-    return Ideal("upper-left", w, frozenset(tuple(-x for x in v) for v in below))
+    return _ideal("upper-left", w, _negate(w), _negate)
 
 
 def interval_right(u: Window) -> Ideal:
@@ -105,19 +143,19 @@ def interval_right(u: Window) -> Ideal:
     of the inverse.
     """
     u = validate_window(u)
-    below = _bfs(inverse(u))
-    return Ideal("lower-right", u, frozenset(inverse(x) for x in below))
+    return _ideal("lower-right", u, inverse(u), inverse)
 
 
 def rank_polynomial(ideal: Ideal) -> Poly:
     """
     The rank generating polynomial of an ideal, graded by length from the
     bottom of the ideal (for upper ideals the grading is shifted so the
-    generating element sits in rank zero).
+    generating element sits in rank zero).  Read off the level sizes:
+    an upper ideal's levels already run up from its bottom, a lower
+    ideal's run down from its top.
     """
-    lengths = [length(w) for w in ideal.elements]
-    base = min(lengths)
-    return from_counts([l - base for l in lengths])
+    sizes = ideal.level_sizes
+    return Poly(sizes if ideal.kind == "upper-left" else sizes[::-1])
 
 
 def reduced_word_count(w: Window) -> int:

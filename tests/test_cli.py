@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bweyl import weak_order
 from bweyl.cli import main
 from bweyl.signed_perm import parse_window
 
@@ -163,6 +164,15 @@ def test_element_rank_guard(capsys):
     code, _, err = run(capsys, "separable", big)
     assert code == 2
     assert "element limit" in err
+
+
+def test_ideal_over_element_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 10)
+    for side in ("--left", "--right"):
+        code, out, err = run(capsys, "ideal-poly", side, "-1 -2 -3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: ideal exceeds the element limit 10: 16 elements reached\n"
 
 
 def test_output_is_deterministic(capsys):

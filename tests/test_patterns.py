@@ -5,11 +5,15 @@ import random
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from bweyl.catalog import ST_FIBER_2413, ST_FIBER_3142
 from bweyl.patterns import (
     PATTERN_SETS,
     SEPARABLE_FORBIDDEN,
+    _has_forbidden_quad,
+    _separable,
     contains_pattern,
     inverse_minimality_criterion,
     is_doubly_minimal,
@@ -87,6 +91,32 @@ def test_forbidden_patterns_are_not_separable():
         assert not is_separable(p)
     assert is_separable(identity(5))
     assert is_separable(longest_element(5))
+
+
+def _assert_scans_match_containment(w):
+    # the literal definition: some subsequence standardizes to a forbidden pattern
+    contained = [contains_pattern(w, p) for p in SEPARABLE_FORBIDDEN]
+    assert _has_forbidden_quad(w) == any(contained[2:]), w
+    assert _separable(w) == (not any(contained)), w
+
+
+def test_separability_scans_match_containment_exhaustively():
+    for n in range(1, 6):
+        for w in all_windows(n):
+            _assert_scans_match_containment(w)
+
+
+@hs.composite
+def signed_windows(draw, lo, hi):
+    n = draw(hs.integers(lo, hi))
+    perm = draw(hs.permutations(range(1, n + 1)))
+    signs = draw(hs.lists(hs.booleans(), min_size=n, max_size=n))
+    return tuple(-x if neg else x for x, neg in zip(perm, signs))
+
+
+@given(signed_windows(6, 9))
+def test_separability_scans_match_containment_at_larger_ranks(w):
+    _assert_scans_match_containment(w)
 
 
 def test_standardization_fibers_match_catalog():

@@ -7,7 +7,7 @@ from math import factorial, prod
 import pytest
 
 from bweyl import weak_order
-from bweyl.polynomials import Poly
+from bweyl.polynomials import Poly, from_counts
 from bweyl.signed_perm import (
     all_windows,
     compose,
@@ -224,6 +224,37 @@ def test_upper_ideal_polynomial_graded_from_its_bottom():
     w0 = longest_element(2)
     assert rank_polynomial(upper_ideal_left(w0)) == Poly.one()
     assert rank_polynomial(upper_ideal_left(identity(2))) == Poly((1, 2, 2, 2, 1))
+
+
+def test_rank_polynomial_matches_element_lengths():
+    # the literal grading: every element's length, shifted to the bottom
+    def from_lengths(ideal):
+        lengths = [length(w) for w in ideal.elements]
+        base = min(lengths)
+        return from_counts([l - base for l in lengths])
+
+    cases = [w for n in range(1, 5) for w in all_windows(n)]
+    cases += [longest_element(5), longest_element(6)]
+    for w in cases:
+        for build in (lower_ideal_left, upper_ideal_left, interval_right):
+            ideal = build(w)
+            assert rank_polynomial(ideal) == from_lengths(ideal), (build.__name__, w)
+
+
+def test_ideal_element_budget(monkeypatch):
+    # B_3 has 48 elements in length levels 1, 3, 5, 7, 8, 8, 7, 5, 3, 1
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 48)
+    assert len(lower_ideal_left(longest_element(3))) == 48
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 47)
+    for ideal, w in ((lower_ideal_left, longest_element(3)),
+                     (upper_ideal_left, identity(3)),
+                     (interval_right, longest_element(3))):
+        with pytest.raises(ValueError, match="element limit 47: 48 elements reached"):
+            ideal(w)
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 10)
+    with pytest.raises(ValueError, match="element limit 10: 16 elements reached"):
+        lower_ideal_left(longest_element(3))
+    assert len(upper_ideal_left(longest_element(3))) == 1
 
 
 def test_rank_polynomial_reversal_under_inverse_translation():
