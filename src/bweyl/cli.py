@@ -4,7 +4,9 @@ Command line surface.
 Exit status: 0 for answered queries and passing checks, 1 when a check
 finds a counterexample or a split-check fails, 2 for usage errors and
 for input the library rejects with ValueError (a malformed window, an
-ideal over its element limit).
+ideal over its element limit).  When the reader of stdout goes away
+(`bweyl ... | head -1`) the command stops quietly with status 141, the
+128 + SIGPIPE a shell reports for a writer killed by a closed pipe.
 Windows are passed as quoted strings of signed decimals ("-2 3 4 5 1").
 """
 
@@ -14,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -316,7 +319,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of what
+        # is still buffered does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, ValueError) as exc:  # the library rejects bad input by ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -157,6 +157,15 @@ def is_separable(w: Sequence[int]) -> bool:
     return _separable(validate_window(w))
 
 
+def _cuts(n: int, removed: Iterable[int]) -> list[int]:
+    """The deleted generator indices, sorted, each checked to be in range."""
+    ps = sorted(set(removed))
+    for p in ps:
+        if not 0 <= p <= n - 1:
+            raise ValueError(f"generator index {p} out of range [0, {n - 1}]")
+    return ps
+
+
 def parabolic_factor(
     w: Window, removed: Iterable[int]
 ) -> tuple[Window, Window]:
@@ -171,11 +180,9 @@ def parabolic_factor(
 
     With removed empty the subgroup is everything: returns (identity, w).
     """
+    w = validate_window(w)
     n = len(w)
-    ps = sorted(set(removed))
-    for p in ps:
-        if not 0 <= p <= n - 1:
-            raise ValueError(f"generator index {p} out of range [0, {n - 1}]")
+    ps = _cuts(n, removed)
     if not ps:
         return identity(n), w
 
@@ -198,13 +205,13 @@ def parabolic_factor(
 def parabolic_blocks(w: Window, removed: Iterable[int]) -> list[Window]:
     """
     The blocks of the subgroup factor of parabolic_factor(w, removed), each
-    shifted down to a small window: the block before the first cut as it
-    stands, every later block [a:b] with a subtracted from its entries.
+    shifted down to a small window, built without the quotient factor: the
+    block before the first cut is its signed standardization, every later
+    block its unsigned one.
     """
-    cuts = sorted(set(removed))
-    b = parabolic_factor(w, cuts)[1]
-    cuts = [0, *cuts, len(w)]
-    return [tuple(x - a for x in b[a:c]) for a, c in zip(cuts, cuts[1:]) if c > a]
+    bounds = [*_cuts(len(w), removed), len(w)]
+    first = [sts(w[:bounds[0]])] if bounds[0] else []
+    return first + [st(w[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _minimal_definitional(w: Window) -> bool:
@@ -222,11 +229,40 @@ def is_minimal_nonseparable_definitional(w: Window) -> bool:
     return _minimal_definitional(validate_window(w))
 
 
-def _quad_through_last(w: Window, quads: frozenset[Window]) -> bool:
-    """Whether some quadruple ending at w_n standardizes (signed) into quads."""
-    wn = w[-1]
-    return any(sts((w[a], w[b], w[c], wn)) in quads
-               for a, b, c in combinations(range(len(w) - 1), 3))
+def _positive_last(w: Window) -> Window:
+    """
+    w with its last entry made positive by negating the whole window: each
+    family through the last entry is its positive family negated, and
+    negating a quadruple negates its signed standardization.
+    """
+    return w if w[-1] > 0 else tuple(-x for x in w)
+
+
+def _minnonsep_quad_through_last(w: Window) -> bool:
+    """
+    Whether some quadruple (a, b, c, d = w_n) standardizes (signed) into
+    the minimality family for the sign of w_n, by comparing entries.  With
+    d > 0, (1, 3, -4, 2) and (-1, 3, -4, 2) are |a| < d < b < -c,
+    (2, -3, 4, 1) is d < a < -b < c, and (-2, 3, -4, 1) is d < -a < b < -c;
+    each chain fixes the signs it does not test.
+    """
+    w = _positive_last(w)
+    d = w[-1]
+    for a, b, c in combinations(w[:-1], 3):
+        if abs(a) < d < b < -c or d < a < -b < c or d < -a < b < -c:
+            return True
+    return False
+
+
+def _inverse_quad_through_last(w: Window) -> bool:
+    """
+    Whether some quadruple (a, b, c, d = w_n) standardizes (signed) into
+    the inverse-minimality family for the sign of w_n: with d > 0,
+    (-1, -4, -2, 3) and (1, -4, -2, 3) are |a| < -c < d < -b.
+    """
+    w = _positive_last(w)
+    d = w[-1]
+    return any(abs(a) < -c < d < -b for a, b, c in combinations(w[:-1], 3))
 
 
 def _minimal(w: Window) -> bool:
@@ -235,10 +271,10 @@ def _minimal(w: Window) -> bool:
     prefix, wn = w[:-1], w[-1]
     if _has_forbidden_pair(prefix) or _has_forbidden_quad(w):
         return False
-    target = (-2, 1) if wn > 0 else (2, -1)
-    if not any(sts((x, wn)) == target for x in prefix):
+    # some (x, w_n) standardizes to (-2, 1) for w_n > 0, to (2, -1) otherwise
+    if not (any(-x > wn for x in prefix) if wn > 0 else any(x > -wn for x in prefix)):
         return False
-    return not _quad_through_last(w, MINNONSEP_QUAD_POS if wn > 0 else MINNONSEP_QUAD_NEG)
+    return not _minnonsep_quad_through_last(w)
 
 
 def is_minimal_nonseparable_fast(w: Window) -> bool:
@@ -257,7 +293,7 @@ def _inverse_minimal(w: Window) -> bool:
     i = next(k for k in range(n) if abs(w[k]) == n)
     if i == n - 1 or not _separable(sts(w[:i] + w[i + 1:])):
         return False
-    return not _quad_through_last(w, INVERSE_QUAD_POS if w[-1] > 0 else INVERSE_QUAD_NEG)
+    return not _inverse_quad_through_last(w)
 
 
 def inverse_minimality_criterion(w: Window) -> bool:

@@ -40,6 +40,7 @@ from .signed_perm import (
     length,
     longest_element,
     simple_reflection,
+    validate_window,
 )
 from .weak_order import interval_right, lower_ideal_left
 
@@ -71,6 +72,7 @@ def quotient_of_interval(u: Window) -> frozenset[Window]:
     The generalized quotient of the right interval below u, computed as
     the left interval below w0 * u^-1.
     """
+    u = validate_window(u)
     w0 = longest_element(len(u))
     return lower_ideal_left(compose(w0, inverse(u))).elements
 
@@ -90,17 +92,22 @@ def _splitting_report(
     universe: frozenset[Window] | None,
     universe_size: int,
 ) -> SplittingReport:
+    """
+    Check the pairs in sorted order: x * y is length-additive exactly when
+    the inversion masks of x and y^-1 are disjoint, then it must land in
+    the universe and be new.  The first failure is the witness.
+    """
     counts = (len(X), len(Y), universe_size)
     if len(X) * len(Y) != universe_size:
         return SplittingReport(False, False, counts)
-    ys = [(y, length(y)) for y in sorted(Y)]
+    ys = [(y, inversion_mask(inverse(y))) for y in sorted(Y)]
     seen: dict[Window, tuple[Window, Window]] = {}
     for x in sorted(X):
-        lx = length(x)
-        for y, ly in ys:
-            xy = compose(x, y)
-            if length(xy) != lx + ly:
+        mx = inversion_mask(x)
+        for y, my in ys:
+            if mx & my:
                 return SplittingReport(False, True, counts, ("length-deficit", x, y))
+            xy = compose(x, y)
             if universe is not None and xy not in universe:
                 return SplittingReport(False, True, counts, ("escapes-subgroup", x, y))
             prior = seen.get(xy)
@@ -110,6 +117,11 @@ def _splitting_report(
     return SplittingReport(True, True, counts)
 
 
+def _sorted_windows(ws: Iterable[Window]) -> list[Window]:
+    """The distinct elements of ws, sorted; ValueError on a non-window."""
+    return sorted({validate_window(w) for w in ws})
+
+
 def is_splitting(
     X: Iterable[Window], Y: Iterable[Window], n: int
 ) -> SplittingReport:
@@ -117,7 +129,7 @@ def is_splitting(
     Whether multiplication X x Y -> rank-n group is length-additive and
     bijective.  Fails fast on the cardinality check #X * #Y = 2^n n!.
     """
-    Xs, Ys = sorted(set(X)), sorted(set(Y))
+    Xs, Ys = _sorted_windows(X), _sorted_windows(Y)
     for w in Xs + Ys:
         if len(w) != n:
             raise ValueError(f"rank mismatch: {format_window(w)} in rank-{n} group")
@@ -143,7 +155,7 @@ def splitting_transport(
     has no greatest element, or Y none in the right order, or if the two
     fail x0 * y0 = w0 (any of these means the input was not a splitting).
     """
-    Xs, Ys = sorted(set(X)), sorted(set(Y))
+    Xs, Ys = _sorted_windows(X), _sorted_windows(Y)
     if not Xs or not Ys:
         raise ValueError("transport of an empty factor is degenerate")
     n = len(Xs[0])
@@ -185,7 +197,7 @@ def splitting_restriction(
     generators in removed, and re-verify the splitting there (with the
     subgroup's own cardinality and its own universe of products).
     """
-    Xs, Ys = sorted(set(X)), sorted(set(Y))
+    Xs, Ys = _sorted_windows(X), _sorted_windows(Y)
     if not Xs:
         raise ValueError("restriction of an empty factor is degenerate")
     n = len(Xs[0])

@@ -4,15 +4,23 @@ generating polynomials, and reduced word counting.
 
 u <= w on the left exactly when the inversion set of u is contained in
 that of w (one AND of inversion masks); the right order is the left
-order after inverting.  Lower ideals are enumerated by breadth-first
-search down through cover relations (left multiplication by a generator
-that shortens), one length level at a time: every lower cover is one
-shorter than the element above it, so the k-th level is exactly the
-elements k below the apex.  An ideal keeps the sizes of its levels, so it
-is materialized with its grading and its rank polynomial needs no length
-computation.  The longest element w0 = -1 is central and x -> w0 * x
-reverses the left order, so an upper ideal is a lower ideal negated.
+order after inverting.  Ideals are enumerated one length level at a time
+down the right order, whose lower covers are cheap to find in the window
+itself: w * s_0 < w when w_1 < 0 (negate it), and w * s_i < w when
+w_i > w_{i+1} (swap the two places).  Every lower cover is one shorter
+than the element above it, so the k-th level is exactly the elements k
+below the apex.  The other ideals are images of right ideals: u <=_L w
+exactly when u^-1 <=_R w^-1, so a lower left ideal is the right ideal of
+w^-1 inverted; and the longest element w0 = -1 is central with
+x -> w0 * x reversing the left order, so an upper left ideal is the right
+ideal of -w^-1 mapped through y -> -y^-1.  Each level is mapped as it is
+produced.  An ideal keeps the sizes of its levels, so it is materialized
+with its grading and its rank polynomial needs no length computation.
 Every ideal is capped at MAX_IDEAL_ELEMENTS elements.
+
+The left-descent functions (`lower_covers_left`, `iter_reduced_words`)
+act on values through `left_mul_simple`, the literal definition the
+fast walks are tested against.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ MAX_IDEAL_ELEMENTS = 645_120
 
 def left_leq(u: Window, w: Window) -> bool:
     """Left order: the inversion set of u sits inside that of w."""
+    u, w = validate_window(u), validate_window(w)
     if len(u) != len(w):
         raise ValueError(f"rank mismatch: {len(u)} vs {len(w)}")
     return not inversion_mask(u) & ~inversion_mask(w)
@@ -47,11 +56,12 @@ def left_leq(u: Window, w: Window) -> bool:
 
 def right_leq(u: Window, w: Window) -> bool:
     """Right order: the left order applied to the inverses."""
-    return left_leq(inverse(u), inverse(w))
+    return left_leq(inverse(validate_window(u)), inverse(validate_window(w)))
 
 
 def lower_covers_left(w: Window) -> frozenset[Window]:
     """The elements s_i * w one step below w in the left order."""
+    w = validate_window(w)
     return frozenset(left_mul_simple(i, w) for i in left_descents(w))
 
 
@@ -81,13 +91,30 @@ class Ideal:
         return rank_polynomial(self)
 
 
+def _right_covers(v: Window) -> list[Window]:
+    """
+    The elements v * s_i one step below v in the right order: swap each
+    pair of neighbouring places out of order, and negate a negative first
+    entry.
+    """
+    out = [v[:i - 1] + (v[i], v[i - 1]) + v[i + 1:]
+           for i in range(1, len(v)) if v[i - 1] > v[i]]
+    if v[0] < 0:
+        out.append((-v[0],) + v[1:])
+    return out
+
+
 def _levels(seed: Window) -> Iterator[set[Window]]:
     """
-    Everything below seed in the left order, one length level at a time
-    from seed down.  A lower cover is one shorter than its element, so
-    duplicates only arise within a level.  Raises ValueError once the
-    levels so far hold more than MAX_IDEAL_ELEMENTS elements.
+    Everything below seed in the right order, one length level at a time
+    from seed down, each level found from the one above by the moves of
+    `_right_covers` (written out in place here, as the call per element
+    costs this loop about a third more).  A lower cover is one shorter
+    than its element, so duplicates only arise within a level.  Raises
+    ValueError once the levels so far hold more than MAX_IDEAL_ELEMENTS
+    elements.
     """
+    places = range(1, len(seed))
     layer = {seed}
     total = 0
     while layer:
@@ -98,7 +125,10 @@ def _levels(seed: Window) -> Iterator[set[Window]]:
                 f"{total} elements reached"
             )
         yield layer
-        layer = {left_mul_simple(i, x) for x in layer for i in left_descents(x)}
+        below = {v[:i - 1] + (v[i], v[i - 1]) + v[i + 1:]
+                 for v in layer for i in places if v[i - 1] > v[i]}
+        below.update([(-v[0],) + v[1:] for v in layer if v[0] < 0])
+        layer = below
 
 
 def _ideal(kind: str, apex: Window, seed: Window,
@@ -118,32 +148,34 @@ def _ideal(kind: str, apex: Window, seed: Window,
     return Ideal(kind, apex, elements, tuple(sizes))
 
 
-def _negate(w: Window) -> Window:
-    return tuple(-x for x in w)
+def _negated_inverse(w: Window) -> Window:
+    """w0 * w^-1 = -w^-1."""
+    return tuple(-x for x in inverse(w))
 
 
 def lower_ideal_left(w: Window) -> Ideal:
-    """All u <= w in the left order, by downward search through covers."""
+    """
+    All u <= w in the left order: u^-1 <= w^-1 in the right order, so
+    they are the inverses of the right ideal of w^-1.
+    """
     w = validate_window(w)
-    return _ideal("lower-left", w, w)
+    return _ideal("lower-left", w, inverse(w), inverse)
 
 
 def upper_ideal_left(w: Window) -> Ideal:
     """
     All u >= w in the left order: x -> w0 * x = -x reverses the order, so
-    they are the negated elements of the lower ideal of -w.
+    they are the negated elements of the lower left ideal of -w, that is
+    the images under y -> -y^-1 of the right ideal of -w^-1.
     """
     w = validate_window(w)
-    return _ideal("upper-left", w, _negate(w), _negate)
+    return _ideal("upper-left", w, _negated_inverse(w), _negated_inverse)
 
 
 def interval_right(u: Window) -> Ideal:
-    """
-    All x <= u in the right order: the inverses of the left lower ideal
-    of the inverse.
-    """
+    """All x <= u in the right order, by downward search through right covers."""
     u = validate_window(u)
-    return _ideal("lower-right", u, inverse(u), inverse)
+    return _ideal("lower-right", u, u)
 
 
 def rank_polynomial(ideal: Ideal) -> Poly:
@@ -161,19 +193,20 @@ def rank_polynomial(ideal: Ideal) -> Poly:
 def reduced_word_count(w: Window) -> int:
     """
     The number of reduced words for w: sequences (i_1, ..., i_l) of
-    generator indices with l = length(w) whose product is w.  Counts the
-    paths down from w through lower covers one length at a time, holding
-    only the current level.
+    generator indices with l = length(w) whose product is w.  A reduced
+    word read from its end is a path down from w through lower covers in
+    the right order (x -> x * s_i), so this counts those paths one length
+    at a time, holding only the current level.
 
     >>> reduced_word_count((-1, -2))
     2
     """
+    w = validate_window(w)
     level = {w: 1}
     for _ in range(length(w)):
         below: dict[Window, int] = {}
         for x, paths in level.items():
-            for i in left_descents(x):
-                y = left_mul_simple(i, x)
+            for y in _right_covers(x):
                 below[y] = below.get(y, 0) + paths
         level = below
     return level[identity(len(w))]
@@ -181,12 +214,16 @@ def reduced_word_count(w: Window) -> int:
 
 def iter_reduced_words(w: Window) -> Iterator[tuple[int, ...]]:
     """Yield every reduced word of w, in lexicographic order."""
+    return _reduced_words(validate_window(w))
+
+
+def _reduced_words(w: Window) -> Iterator[tuple[int, ...]]:
     descents = left_descents(w)
     if not descents:
         yield ()
         return
     for i in descents:
-        for word in iter_reduced_words(left_mul_simple(i, w)):
+        for word in _reduced_words(left_mul_simple(i, w)):
             yield (i,) + word
 
 

@@ -1,10 +1,14 @@
 """Command line behaviour: verbs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bweyl import weak_order
+from bweyl import cli, weak_order
 from bweyl.cli import main
 from bweyl.signed_perm import parse_window
 
@@ -184,3 +188,21 @@ def test_output_is_deterministic(capsys):
     _, second, _ = run(capsys, "verify", "minimality-equivalence", "--n", "3",
                        "--format", "json")
     assert first == second
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # `bweyl minimal-nonsep --list --n 5 | head -1` used to print a
+    # BrokenPipeError traceback: here the reader is gone before any write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bweyl.cli", "minimal-nonsep", "--list", "--n", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141

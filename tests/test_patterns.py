@@ -10,9 +10,17 @@ from hypothesis import strategies as hs
 
 from bweyl.catalog import ST_FIBER_2413, ST_FIBER_3142
 from bweyl.patterns import (
+    INVERSE_QUAD_NEG,
+    INVERSE_QUAD_POS,
+    MINNONSEP_QUAD_NEG,
+    MINNONSEP_QUAD_POS,
     PATTERN_SETS,
     SEPARABLE_FORBIDDEN,
+    _has_forbidden_pair,
     _has_forbidden_quad,
+    _inverse_quad_through_last,
+    _minimal,
+    _minnonsep_quad_through_last,
     _separable,
     contains_pattern,
     inverse_minimality_criterion,
@@ -160,12 +168,14 @@ def test_parabolic_blocks_rebuild_the_subgroup_factor():
     for n in range(1, 5):
         for w in all_windows(n):
             for i in range(n):
-                blocks = parabolic_blocks(w, (i,))
                 # the literal block definition: signed before the cut, unsigned after
-                assert blocks == ([sts(w[:i])] if i else []) + [st(w[i:])]
-                offsets = [0, i] if i else [0]
-                rebuilt = tuple(x + a for a, b in zip(offsets, blocks) for x in b)
-                assert rebuilt == parabolic_factor(w, (i,))[1]
+                assert parabolic_blocks(w, (i,)) == ([sts(w[:i])] if i else []) + [st(w[i:])]
+            for removed in subsets(range(n)):
+                # the blocks are the subgroup factor's slices, each shifted down
+                b = parabolic_factor(w, removed)[1]
+                cuts = [0, *sorted(removed), n]
+                slices = [tuple(x - a for x in b[a:c]) for a, c in zip(cuts, cuts[1:]) if c > a]
+                assert parabolic_blocks(w, removed) == slices, (w, removed)
 
 
 def test_parabolic_factor_sampled_rank_five():
@@ -207,6 +217,40 @@ def test_minimality_fast_equals_definitional_small_ranks():
             assert is_minimal_nonseparable_fast(w) == (
                 is_minimal_nonseparable_definitional(w)
             ), w
+
+
+def _quad_through_last_by_sts(w, quads):
+    """Whether some quadruple ending at w_n standardizes (signed) into quads."""
+    return any(sts((a, b, c, w[-1])) in quads for a, b, c in combinations(w[:-1], 3))
+
+
+def _minimal_by_sts(w):
+    """The window test for minimality with every pattern found by standardizing."""
+    if len(w) < 2 or _has_forbidden_pair(w[:-1]) or _has_forbidden_quad(w):
+        return False
+    target, quads = ((-2, 1), MINNONSEP_QUAD_POS) if w[-1] > 0 else ((2, -1), MINNONSEP_QUAD_NEG)
+    return (any(sts((x, w[-1])) == target for x in w[:-1])
+            and not _quad_through_last_by_sts(w, quads))
+
+
+def _assert_last_entry_tests_match_standardization(w):
+    positive = w[-1] > 0
+    assert _minnonsep_quad_through_last(w) == _quad_through_last_by_sts(
+        w, MINNONSEP_QUAD_POS if positive else MINNONSEP_QUAD_NEG), w
+    assert _inverse_quad_through_last(w) == _quad_through_last_by_sts(
+        w, INVERSE_QUAD_POS if positive else INVERSE_QUAD_NEG), w
+    assert _minimal(w) == _minimal_by_sts(w), w
+
+
+def test_last_entry_tests_match_standardization_exhaustively():
+    for n in (4, 5, 6):
+        for w in all_windows(n):
+            _assert_last_entry_tests_match_standardization(w)
+
+
+@given(signed_windows(7, 9))
+def test_last_entry_tests_match_standardization_at_larger_ranks(w):
+    _assert_last_entry_tests_match_standardization(w)
 
 
 def test_inverse_minimality_criterion_contract():

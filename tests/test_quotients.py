@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from bweyl import quotients
-from bweyl.patterns import is_separable
+from bweyl.patterns import is_separable, parabolic_factor
 from bweyl.polynomials import from_counts, group_poincare
 from bweyl.quotients import (
     _GroupTables,
     _greatest,
     _lower_ideal_sizes,
+    _splitting_report,
     _theorem_cases,
     quotient_interval_identity,
     generalized_quotient,
@@ -29,6 +30,7 @@ from bweyl.quotients import (
     splitting_transport,
     verify_main_theorem,
 )
+from bweyl.reports import SplittingReport
 from bweyl.signed_perm import (
     all_windows,
     compose,
@@ -136,8 +138,6 @@ def test_length_deficit_witness_replays():
 
 
 def test_collision_witness_replays():
-    from bweyl.quotients import _splitting_report
-
     e, s1, s2 = identity(3), (2, 1, 3), (1, 3, 2)
     X = sorted({e, s1})
     Y = sorted({s2, compose(s1, s2)})
@@ -147,6 +147,49 @@ def test_collision_witness_replays():
     assert kind == "collision"
     assert compose(x1, y1) == compose(x2, y2)
     assert (x1, y1) != (x2, y2)
+
+
+def splitting_report_by_length(X, Y, universe, universe_size):
+    """The splitting scan by its definition: compose, then compare lengths."""
+    counts = (len(X), len(Y), universe_size)
+    if len(X) * len(Y) != universe_size:
+        return SplittingReport(False, False, counts)
+    seen = {}
+    for x in sorted(X):
+        for y in sorted(Y):
+            xy = compose(x, y)
+            if length(xy) != length(x) + length(y):
+                return SplittingReport(False, True, counts, ("length-deficit", x, y))
+            if universe is not None and xy not in universe:
+                return SplittingReport(False, True, counts, ("escapes-subgroup", x, y))
+            if xy in seen:
+                return SplittingReport(False, True, counts, ("collision", *seen[xy], x, y))
+            seen[xy] = (x, y)
+    return SplittingReport(True, True, counts)
+
+
+def test_splitting_report_matches_length_scan():
+    # Every (lower left ideal, right interval) pair at ranks 2-3, the
+    # theorem's pairs (L(w0 u^-1), R(u)) among them; at rank 3 the size
+    # check passes for pairs that fail by a deficit or a collision.
+    kinds = set()
+    for n in (2, 3):
+        ws = list(all_windows(n))
+        X = [sorted(lower_ideal_left(w)) for w in ws]
+        Y = [sorted(interval_right(w)) for w in ws]
+        for x in X:
+            for y in Y:
+                report = _splitting_report(x, y, None, len(ws))
+                assert report == splitting_report_by_length(x, y, None, len(ws)), (x[-1], y[-1])
+                kinds.add(report.failure_witness and report.failure_witness[0])
+    assert kinds == {None, "length-deficit", "collision"}
+    # The factorization check's pairs, inside the ideal of w.
+    for n in (4, 5):
+        for w in all_windows(n):
+            if w[-2:] == (-n, n - 1):
+                q, j = (lower_ideal_left(f) for f in parabolic_factor(w, (n - 2, n - 1)))
+                args = (list(q), list(j), lower_ideal_left(w).elements, len(lower_ideal_left(w)))
+                assert _splitting_report(*args) == splitting_report_by_length(*args), w
 
 
 def test_splitting_rank_mismatch_rejected():

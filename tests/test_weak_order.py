@@ -1,13 +1,22 @@
 """Order comparisons, ideal enumeration, rank polynomials, reduced words."""
 
 import random
+import re
+from collections import Counter
 from itertools import product
 from math import factorial, prod
 
 import pytest
 
 from bweyl import weak_order
+from bweyl.patterns import parabolic_factor
 from bweyl.polynomials import Poly, from_counts
+from bweyl.quotients import (
+    is_splitting,
+    quotient_of_interval,
+    splitting_restriction,
+    splitting_transport,
+)
 from bweyl.signed_perm import (
     all_windows,
     compose,
@@ -164,14 +173,42 @@ def test_upper_ideal_named_values():
 
 
 def test_upper_ideal_matches_direct_filter():
-    cache = _stats_cache(3)
-    for w in cache:
-        sw = cache[w]
-        expected = frozenset(
-            u for u, su in cache.items()
-            if sw.neg <= su.neg and sw.inv <= su.inv and sw.nsp <= su.nsp
-        )
-        assert upper_ideal_left(w).elements == expected
+    # left_leq is the statistic-set order: test_mask_containment_is_the_statistic_set_order
+    for n in (1, 2, 3, 4):
+        ws = list(all_windows(n))
+        for w in ws:
+            expected = frozenset(u for u in ws if left_leq(w, u))
+            assert upper_ideal_left(w).elements == expected, w
+
+
+def _bfs_levels(apex, covers):
+    """The levels below apex, by breadth-first search through covers."""
+    levels = [{apex}]
+    while True:
+        below = set().union(*(covers[x] for x in levels[-1]))
+        if not below:
+            return levels
+        levels.append(below)
+
+
+def test_ideals_match_left_cover_search_through_rank_five():
+    # The literal search: lower covers s_i * w in the left order (acting
+    # on values), upper covers by reversing them, and lower covers in the
+    # right order as the inverses of the left covers of the inverse.
+    for n in range(1, 6):
+        down = {w: lower_covers_left(w) for w in all_windows(n)}
+        up = {w: set() for w in down}
+        for w, covers in down.items():
+            for c in covers:
+                up[c].add(w)
+        right_down = {w: {inverse(c) for c in down[inverse(w)]} for w in down}
+        for build, covers in ((lower_ideal_left, down), (upper_ideal_left, up),
+                              (interval_right, right_down)):
+            for w in down:
+                levels = _bfs_levels(w, covers)
+                ideal = build(w)
+                assert ideal.elements == frozenset().union(*levels), (build.__name__, w)
+                assert ideal.level_sizes == tuple(map(len, levels)), (build.__name__, w)
 
 
 def test_upper_ideal_polynomial_is_the_reversed_lower_one_through_w0():
@@ -190,9 +227,11 @@ def test_interval_right_named_values():
 
 
 def test_interval_right_matches_right_order_filter():
-    for u in all_windows(3):
-        expected = frozenset(x for x in all_windows(3) if right_leq(x, u))
-        assert interval_right(u).elements == expected
+    for n in (1, 2, 3, 4):
+        ws = list(all_windows(n))
+        for u in ws:
+            expected = frozenset(x for x in ws if right_leq(x, u))
+            assert interval_right(u).elements == expected, u
 
 
 def test_ideal_sizes_and_degrees():
@@ -318,6 +357,23 @@ def test_reduced_words_against_brute_force():
         assert reduced_word_count(w) == brute_force_word_count(w)
 
 
+def test_reduced_word_count_matches_left_descent_paths():
+    # the literal count: paths down from w through left lower covers
+    def left_paths(w):
+        level = Counter({w: 1})
+        for _ in range(length(w)):
+            below = Counter()
+            for x, paths in level.items():
+                for c in lower_covers_left(x):
+                    below[c] += paths
+            level = below
+        return level[identity(len(w))]
+
+    for n in (1, 2, 3, 4):
+        for w in all_windows(n):
+            assert reduced_word_count(w) == left_paths(w), w
+
+
 def test_iter_reduced_words_products_and_count():
     rng = random.Random(7)
     pool = sorted(all_windows(3))
@@ -329,3 +385,27 @@ def test_iter_reduced_words_products_and_count():
         for word in words:
             assert len(word) == length(w)
             assert product_word(3, word) == w
+
+
+# ------------------------------------------------------------- public boundary
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: left_leq((1, 1), (1, 2)), "(1, 1)"),
+    (lambda: right_leq((1, 2), (2, 2)), "(2, 2)"),
+    (lambda: lower_covers_left((2, 2)), "(2, 2)"),
+    (lambda: reduced_word_count((2, 2)), "(2, 2)"),
+    (lambda: list(iter_reduced_words((2, 2))), "(2, 2)"),
+    (lambda: parabolic_factor((2, 2), (1,)), "(2, 2)"),
+    (lambda: is_splitting([(1, 1), (2, 2)], [(1, 2)], 2), "(1, 1)"),
+    (lambda: splitting_transport([(1, 2), (1, 1)], [(1, 2)]), "(1, 1)"),
+    (lambda: splitting_restriction([(1, 2)], [(3, 1)], ()), "(3, 1)"),
+    (lambda: quotient_of_interval((1, 1)), "(1, 1)"),
+], ids=["left_leq", "right_leq", "lower_covers_left", "reduced_word_count",
+        "iter_reduced_words", "parabolic_factor", "is_splitting", "splitting_transport",
+        "splitting_restriction", "quotient_of_interval"])
+def test_public_window_arguments_are_validated(call, bad):
+    # each used to answer silently (or raise KeyError), some naming a
+    # window derived from the input rather than the input
+    with pytest.raises(ValueError, match=re.escape(f"not a signed permutation window: {bad}")):
+        call()
