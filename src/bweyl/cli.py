@@ -194,9 +194,7 @@ def _cmd_verify(args) -> int:
         known = ", ".join(sorted(theorems.CHECKS))
         raise UsageError(f"unknown check {args.check!r}; known: {known}")
     _require_n(args.check, args.n)
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    report = runner(args.n, jobs=args.jobs)
+    report = runner(args.n)
     _emit(report.to_json(), args.format)
     return 0 if report.passed else 1
 
@@ -295,10 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run one exhaustive check")
     p.add_argument("check", help=f"one of: {', '.join(sorted(theorems.CHECKS))}")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the theorem sweep (capped at the CPU count)",
-    )
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -202,6 +202,12 @@ def parabolic_factor(
     return tuple(quotient), tuple(subgroup)
 
 
+def _parabolic_blocks(w: Window, removed: Iterable[int]) -> list[Window]:
+    bounds = [*_cuts(len(w), removed), len(w)]
+    first = [sts(w[:bounds[0]])] if bounds[0] else []
+    return first + [st(w[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def parabolic_blocks(w: Window, removed: Iterable[int]) -> list[Window]:
     """
     The blocks of the subgroup factor of parabolic_factor(w, removed), each
@@ -209,14 +215,12 @@ def parabolic_blocks(w: Window, removed: Iterable[int]) -> list[Window]:
     block before the first cut is its signed standardization, every later
     block its unsigned one.
     """
-    bounds = [*_cuts(len(w), removed), len(w)]
-    first = [sts(w[:bounds[0]])] if bounds[0] else []
-    return first + [st(w[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return _parabolic_blocks(validate_window(w), removed)
 
 
 def _minimal_definitional(w: Window) -> bool:
     return not _separable(w) and all(
-        _separable(block) for i in range(len(w)) for block in parabolic_blocks(w, (i,))
+        _separable(block) for i in range(len(w)) for block in _parabolic_blocks(w, (i,))
     )
 
 

@@ -19,7 +19,6 @@ the reference the table path is tested against.
 
 from __future__ import annotations
 
-import os
 from array import array
 from functools import lru_cache, reduce
 from operator import or_
@@ -39,7 +38,6 @@ from .signed_perm import (
     left_mul_simple,
     length,
     longest_element,
-    simple_reflection,
     validate_window,
 )
 from .weak_order import interval_right, lower_ideal_left
@@ -117,9 +115,21 @@ def _splitting_report(
     return SplittingReport(True, True, counts)
 
 
-def _sorted_windows(ws: Iterable[Window]) -> list[Window]:
-    """The distinct elements of ws, sorted; ValueError on a non-window."""
-    return sorted({validate_window(w) for w in ws})
+def _sorted_factors(
+    X: Iterable[Window], Y: Iterable[Window], n: int | None = None
+) -> tuple[list[Window], list[Window]]:
+    """
+    The distinct elements of X and of Y, each sorted.  ValueError on a
+    non-window, or on a window whose rank is not n (by default the rank of
+    the first window, X before Y).
+    """
+    Xs, Ys = (sorted({validate_window(w) for w in ws}) for ws in (X, Y))
+    for w in Xs + Ys:
+        if n is None:
+            n = len(w)
+        if len(w) != n:
+            raise ValueError(f"rank mismatch: {format_window(w)} in rank-{n} group")
+    return Xs, Ys
 
 
 def is_splitting(
@@ -129,10 +139,7 @@ def is_splitting(
     Whether multiplication X x Y -> rank-n group is length-additive and
     bijective.  Fails fast on the cardinality check #X * #Y = 2^n n!.
     """
-    Xs, Ys = _sorted_windows(X), _sorted_windows(Y)
-    for w in Xs + Ys:
-        if len(w) != n:
-            raise ValueError(f"rank mismatch: {format_window(w)} in rank-{n} group")
+    Xs, Ys = _sorted_factors(X, Y, n)
     return _splitting_report(Xs, Ys, None, group_order(n))
 
 
@@ -155,7 +162,7 @@ def splitting_transport(
     has no greatest element, or Y none in the right order, or if the two
     fail x0 * y0 = w0 (any of these means the input was not a splitting).
     """
-    Xs, Ys = _sorted_windows(X), _sorted_windows(Y)
+    Xs, Ys = _sorted_factors(X, Y)
     if not Xs or not Ys:
         raise ValueError("transport of an empty factor is degenerate")
     n = len(Xs[0])
@@ -197,7 +204,7 @@ def splitting_restriction(
     generators in removed, and re-verify the splitting there (with the
     subgroup's own cardinality and its own universe of products).
     """
-    Xs, Ys = _sorted_windows(X), _sorted_windows(Y)
+    Xs, Ys = _sorted_factors(X, Y)
     if not Xs:
         raise ValueError("restriction of an empty factor is degenerate")
     n = len(Xs[0])
@@ -218,13 +225,13 @@ class _GroupTables:
     """
     The rank-n group indexed as ints, elements sorted by (length, window).
 
-    Multiplication by each generator s_i is stored as four arrays, split
-    by whether the product goes down or up one length:
-    left_down[i][k] is the index of s_i * w_k when that is shorter and the
-    sentinel `order` otherwise, left_up[i][k] the same when it is longer,
-    and right_down, right_up likewise for w_k * s_i.  Every table maps the
+    Left multiplication by each generator s_i is stored as two arrays,
+    split by whether the product goes down or up one length: down[i][k]
+    is the index of s_i * w_k when that is shorter and the sentinel
+    `order` otherwise, up[i][k] the same when it is longer.  Both map the
     sentinel to itself, so a walk that leaves the cover relation stays at
-    the sentinel.
+    the sentinel.  inv[k] is the index of w_k^-1: the right order is the
+    left order of the inverses, so the left tables serve both orders.
     """
 
     def __init__(self, n: int) -> None:
@@ -234,38 +241,30 @@ class _GroupTables:
         self.order = len(self.windows)
         lengths = [l for l, _ in keyed]
         sentinel = self.order
-
-        def halves(products: Iterable[Window]) -> tuple[array, array]:
-            images = [self.index[p] for p in products]
+        self.down, self.up = [], []
+        for i in range(n):
+            images = [self.index[left_mul_simple(i, w)] for w in self.windows]
             down = array("i", [j if lengths[j] < l else sentinel
                                for j, l in zip(images, lengths)])
             up = array("i", [sentinel if lengths[j] < l else j
                              for j, l in zip(images, lengths)])
             down.append(sentinel)
             up.append(sentinel)
-            return down, up
+            self.down.append(down)
+            self.up.append(up)
+        self.inv = array("i", [self.index[inverse(w)] for w in self.windows])
 
-        self.left_down, self.left_up, self.right_down, self.right_up = [], [], [], []
-        for i in range(n):
-            down, up = halves(left_mul_simple(i, w) for w in self.windows)
-            self.left_down.append(down)
-            self.left_up.append(up)
-            s = simple_reflection(n, i)
-            down, up = halves(compose(w, s) for w in self.windows)
-            self.right_down.append(down)
-            self.right_up.append(up)
-
-    def below(self, apex: int, downs: list[array]) -> list[int]:
+    def below(self, apex: int) -> list[int]:
         """
-        The principal lower ideal of apex through the given descent
-        tables (left or right), in increasing length, identity first.
+        The principal lower left ideal of apex, in increasing length,
+        identity first.
         """
         sentinel = self.order
         out = [apex]
         level = {apex}
         while level:
             nxt: set[int] = set()
-            for down in downs:
+            for down in self.down:
                 nxt.update(map(down.__getitem__, level))
             nxt.discard(sentinel)
             out.extend(nxt)
@@ -276,31 +275,36 @@ class _GroupTables:
     def splits(self, x_apex: int, u: int) -> bool:
         """
         Whether (X, Y) splits the group, with X the lower left ideal of
-        x_apex and Y the lower right interval of u.
+        x_apex and Y the lower right interval of u.  Y is read as Y^-1,
+        the lower left ideal of u^-1.
 
-        Every product x * y is built from one already made by one lookup,
-        along a spanning tree of the smaller factor: x * y is
-        s_i * (x' * y) for x = s_i * x' (left tables), or (x * y') * s_i
-        for y = y' * s_i (right tables).  The lookups are in the ascent
-        tables, so a product reached without the sentinel has length
-        l(x) + l(y); with #X * #Y = #W, the products then cover the group
-        exactly when none is the sentinel and none collide.
+        Every product is built from one already made by one lookup, along
+        a spanning tree of the smaller factor: x * y is s_i * (x' * y)
+        for x = s_i * x', and when Y^-1 is smaller the walk makes
+        (x * y)^-1 = y^-1 * x^-1 instead, as s_i * (y'^-1 * x^-1) for
+        y^-1 = s_i * y'^-1.  Inverting preserves length, so those products
+        are additive and collide exactly when the x * y do.  The lookups
+        are in the ascent tables, so a product reached without the
+        sentinel has length l(x) + l(y); with #X * #Y = #W, the products
+        then cover the group exactly when none is the sentinel and none
+        collide.
         """
-        X = self.below(x_apex, self.left_down)
-        Y = self.below(u, self.right_down)
-        if len(X) * len(Y) != self.order:
+        inv = self.inv
+        X = self.below(x_apex)
+        Y_inv = self.below(inv[u])
+        if len(X) * len(Y_inv) != self.order:
             return False
-        if len(X) <= len(Y):
-            tree, downs, ups, row = X, self.left_down, self.left_up, Y
+        if len(X) <= len(Y_inv):
+            tree, row = X, list(map(inv.__getitem__, Y_inv))
         else:
-            tree, downs, ups, row = Y, self.right_down, self.right_up, X
+            tree, row = Y_inv, list(map(inv.__getitem__, X))
         sentinel = self.order
         place = {z: j for j, z in enumerate(tree)}
         rows = [row]
         seen = set(row)
         for z in tree[1:]:
-            i = next(i for i, down in enumerate(downs) if down[z] != sentinel)
-            row = list(map(ups[i].__getitem__, rows[place[downs[i][z]]]))
+            i = next(i for i, down in enumerate(self.down) if down[z] != sentinel)
+            row = list(map(self.up[i].__getitem__, rows[place[self.down[i][z]]]))
             seen.update(row)
             rows.append(row)
         seen.discard(sentinel)
@@ -323,7 +327,7 @@ def _lower_ideal_sizes(tables: _GroupTables) -> array:
     for k in range(order):
         bits = 1 << k
         ascents = 0
-        for down in tables.left_down:
+        for down in tables.down:
             c = down[k]
             if c == order:
                 ascents += 1
@@ -339,65 +343,34 @@ def _lower_ideal_sizes(tables: _GroupTables) -> array:
     return sizes
 
 
-# Each worker process of the theorem sweep builds the tables once.
-_worker_tables: _GroupTables | None = None
-
-
-def _init_worker(n: int) -> None:
-    global _worker_tables
-    _worker_tables = _GroupTables(n)
-
-
-def _worker_splits(case: tuple[int, int]) -> bool:
-    return _worker_tables.splits(*case)
-
-
-def _theorem_cases(n: int, jobs: int = 1) -> list[tuple[Window, bool, bool]]:
+def _theorem_cases(n: int) -> list[tuple[Window, bool, bool]]:
     """
     (u, is_separable(u), whether (quotient, interval) splits) for every u
     of rank n, sorted by u.  #X = |L(w0 u^-1)| and #Y = |L(u^-1)|, so the
     ideal sizes settle #X * #Y != #W without building either factor; the
-    remaining cases get the full product walk, over jobs processes.
+    remaining cases get the full product walk.
     """
     tables = _GroupTables(n)
     sizes = _lower_ideal_sizes(tables)
-    index = tables.index
+    index, inv = tables.index, tables.inv
     w0 = longest_element(n)
-    walks = []
+    cases = []
     for k, u in enumerate(tables.windows):
-        u_inv = inverse(u)
-        x_apex = index[compose(w0, u_inv)]
-        if sizes[x_apex] * sizes[index[u_inv]] == tables.order:
-            walks.append((x_apex, k))
-    if jobs > 1 and walks:
-        # Imported here, as it costs every start-up about 20 ms and 1.5 MB.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(n,)) as pool:
-            verdicts = list(pool.map(_worker_splits, walks,
-                                     chunksize=max(1, len(walks) // (4 * jobs))))
-    else:
-        verdicts = [tables.splits(*case) for case in walks]
-    splits = {k for (_, k), ok in zip(walks, verdicts) if ok}
-    return sorted(
-        (u, _separable(u), k in splits) for k, u in enumerate(tables.windows)
-    )
+        x_apex = index[compose(w0, inverse(u))]
+        splits = sizes[x_apex] * sizes[inv[k]] == tables.order and tables.splits(x_apex, k)
+        cases.append((u, _separable(u), splits))
+    return sorted(cases)
 
 
-def verify_main_theorem(n: int, jobs: int = 1) -> LemmaReport:
+def verify_main_theorem(n: int) -> LemmaReport:
     """
     Sweep every u of rank n and compare: the pair (generalized quotient of
     the right interval below u, that interval) splits the group exactly
     when u is separable.  Reports counts on success and the offending
-    elements on failure.  jobs must be at least 1 and is capped at the
-    CPU count.  With jobs > 1 under the spawn or forkserver start method,
-    call this below an `if __name__ == "__main__":` guard: each worker
-    re-imports the calling script, and without the guard the workers fail
-    to start and the pool raises BrokenProcessPool.
+    elements on failure.
     """
     require_rank("theorem", n)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    results = _theorem_cases(n, min(jobs, os.cpu_count() or 1))
+    results = _theorem_cases(n)
     separable = sum(sep for _, sep, _ in results)
     return lemma_report("splitting-theorem", n, [
         None if sep == splits else {"window": u, "separable": sep, "splits": splits}

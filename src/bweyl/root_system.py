@@ -28,7 +28,7 @@ from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterable
 
-from .signed_perm import Window, inversion_mask
+from .signed_perm import Window, inversion_mask, validate_window
 
 Root = tuple[int, ...]
 
@@ -113,6 +113,7 @@ def inversion_roots(w: Window) -> frozenset[Root]:
     -e_i + e_j for each inversion (i, j), and e_i + e_j for each
     negative-sum pair (i, j): inversion_mask(w) decoded.
     """
+    w = validate_window(w)
     return _decode(len(w), inversion_mask(w))
 
 

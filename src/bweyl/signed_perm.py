@@ -36,18 +36,20 @@ class StatisticSets(NamedTuple):
 
 def is_window(w: Sequence[int]) -> bool:
     """
-    Check that w is a valid window: nonzero entries whose absolute values
-    are a permutation of {1, ..., n}.
+    Check that w is a valid window: nonzero int entries (not bool) whose
+    absolute values are a permutation of {1, ..., n}.
 
     >>> is_window((-2, 3, 4, 5, 1)), is_window((1, 1)), is_window((0, 2))
     (True, False, False)
+    >>> is_window((True, 2))
+    False
     """
     n = len(w)
     if n == 0:
         return False
     seen = 0
     for x in w:
-        if not isinstance(x, int) or x == 0 or not -n <= x <= n:
+        if not isinstance(x, int) or isinstance(x, bool) or x == 0 or not -n <= x <= n:
             return False
         bit = 1 << (abs(x) - 1)
         if seen & bit:

@@ -297,17 +297,17 @@ def check_interval_identity(n: int) -> LemmaReport:
                   lambda u: None if quotient_interval_identity(u) else {"window": u})
 
 
-#: Verification matrix: check id -> runner taking (n, jobs).
+#: Verification matrix: check id -> check taking the rank n.
 CHECKS = {
-    "theorem": lambda n, jobs=1: verify_main_theorem(n, jobs=jobs),
-    "sign-structure": lambda n, jobs=1: check_sign_structure(n),
-    "coefficient-shift": lambda n, jobs=1: check_coefficient_shift_all(n),
-    "not-rank-symmetric": lambda n, jobs=1: check_not_rank_symmetric(n),
-    "unique-reduced-word": lambda n, jobs=1: check_unique_reduced_word(n),
-    "factorization": lambda n, jobs=1: check_factorization_bijection_all(n),
-    "rank-symmetry": lambda n, jobs=1: check_rank_symmetry_proposition(n),
-    "product-identity": lambda n, jobs=1: check_separable_product_identity(n),
-    "classifier-equivalence": lambda n, jobs=1: check_classifier_equivalence(n),
-    "minimality-equivalence": lambda n, jobs=1: check_minimality_equivalence(n),
-    "interval-identity": lambda n, jobs=1: check_interval_identity(n),
+    "theorem": verify_main_theorem,
+    "sign-structure": check_sign_structure,
+    "coefficient-shift": check_coefficient_shift_all,
+    "not-rank-symmetric": check_not_rank_symmetric,
+    "unique-reduced-word": check_unique_reduced_word,
+    "factorization": check_factorization_bijection_all,
+    "rank-symmetry": check_rank_symmetry_proposition,
+    "product-identity": check_separable_product_identity,
+    "classifier-equivalence": check_classifier_equivalence,
+    "minimality-equivalence": check_minimality_equivalence,
+    "interval-identity": check_interval_identity,
 }

@@ -87,13 +87,6 @@ def test_verify_rank_guard(capsys):
     assert "--n" in err
 
 
-def test_verify_rejects_jobs_below_one(capsys):
-    for check in ("theorem", "sign-structure"):
-        code, _, err = run(capsys, "verify", check, "--n", "3", "--jobs", "0")
-        assert code == 2
-        assert "--jobs" in err
-
-
 def test_reduced_words(capsys):
     code, out, _ = run(capsys, "reduced-words", "1 -3 2", "--list", "--format", "json")
     assert code == 0

@@ -1,16 +1,9 @@
 """Generalized quotients, interval identity, splittings, transports."""
 
-import concurrent.futures
-import os
-import signal
-import subprocess
-import sys
 from itertools import chain, combinations
-from pathlib import Path
 
 import pytest
 
-from bweyl import quotients
 from bweyl.patterns import is_separable, parabolic_factor
 from bweyl.polynomials import from_counts, group_poincare
 from bweyl.quotients import (
@@ -197,6 +190,18 @@ def test_splitting_rank_mismatch_rejected():
         is_splitting({identity(2)}, {identity(3)}, 3)
 
 
+def test_every_splitting_entry_point_rejects_mixed_ranks():
+    # a window of another rank is an error, never silently left out
+    u = (-1, 2, 3)
+    X = quotient_of_interval(u)
+    Y = interval_right(u).elements | {(1, 2)}
+    for call in (lambda: is_splitting(X, Y, 3),
+                 lambda: splitting_transport(X, Y),
+                 lambda: splitting_restriction(X, Y, ())):
+        with pytest.raises(ValueError, match="rank mismatch: 1 2 in rank-3 group"):
+            call()
+
+
 def test_splitting_implies_poincare_factorization():
     for n in (3, 4):
         target = group_poincare(n)
@@ -321,90 +326,11 @@ def test_main_theorem_rank_three():
     assert report.counts["separable"] == 22
 
 
-def test_main_theorem_parallel_matches_serial():
-    for n in (3, 4):
-        serial = verify_main_theorem(n, jobs=1)
-        parallel = verify_main_theorem(n, jobs=2)
-        assert serial == parallel
-
-
 def test_main_theorem_rank_guard():
     with pytest.raises(ValueError):
         verify_main_theorem(1)
     with pytest.raises(ValueError):
         verify_main_theorem(7)
-
-
-def test_main_theorem_rejects_jobs_below_one():
-    for jobs in (0, -3):
-        with pytest.raises(ValueError):
-            verify_main_theorem(2, jobs=jobs)
-
-
-class _InProcessPool:
-    """Stands in for concurrent.futures.ProcessPoolExecutor: records the
-    pool size and runs the pool's work in this process."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def __call__(self, max_workers, initializer, initargs):
-        self.sizes.append(max_workers)
-        initializer(*initargs)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return [fn(item) for item in items]
-
-
-def test_main_theorem_jobs_capped_at_cpu_count(monkeypatch):
-    pool = _InProcessPool()
-    monkeypatch.setattr(quotients, "_worker_tables", None)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(quotients.os, "cpu_count", lambda: 2)
-    assert verify_main_theorem(3, jobs=64) == verify_main_theorem(3)
-    assert pool.sizes == [2]
-    monkeypatch.setattr(quotients.os, "cpu_count", lambda: 1)
-    verify_main_theorem(3, jobs=64)
-    assert pool.sizes == [2]  # capped to one process: no pool
-
-
-UNGUARDED_SPAWN_CALLER = """
-import multiprocessing
-import os
-
-from bweyl.quotients import verify_main_theorem
-
-multiprocessing.set_start_method("spawn", force=True)
-os.cpu_count = lambda: 2
-verify_main_theorem(3, jobs=2)
-"""
-
-
-def test_unguarded_spawn_caller_fails_instead_of_hanging(tmp_path):
-    # Each spawned worker re-runs this script, which has no __main__ guard,
-    # and fails to start; the pool must give up rather than respawn it.
-    script = tmp_path / "unguarded.py"
-    script.write_text(UNGUARDED_SPAWN_CALLER)
-    src = str(Path(quotients.__file__).resolve().parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=src),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
-    )
-    try:
-        _, err = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("the pool kept replacing workers that failed to start")
-    assert proc.returncode != 0
-    assert b"BrokenProcessPool" in err
 
 
 def test_table_sweep_matches_tuple_path():
@@ -439,6 +365,9 @@ def test_table_ideal_sizes_match_ideals_rank_five():
     assert len(sizes) == len(tables.windows) == 3840
     for w, size in zip(tables.windows, sizes):
         assert size == len(lower_ideal_left(w)), w
+    for w, k in tables.index.items():
+        assert tables.windows[tables.inv[k]] == inverse(w), w
+        assert tables.inv[tables.inv[k]] == k, w
 
 
 def test_report_json_shape():

@@ -9,7 +9,7 @@ from math import factorial, prod
 import pytest
 
 from bweyl import weak_order
-from bweyl.patterns import parabolic_factor
+from bweyl.patterns import parabolic_blocks, parabolic_factor
 from bweyl.polynomials import Poly, from_counts
 from bweyl.quotients import (
     is_splitting,
@@ -17,6 +17,7 @@ from bweyl.quotients import (
     splitting_restriction,
     splitting_transport,
 )
+from bweyl.root_system import inversion_roots
 from bweyl.signed_perm import (
     all_windows,
     compose,
@@ -27,6 +28,7 @@ from bweyl.signed_perm import (
     longest_element,
     simple_reflection,
     statistic_sets,
+    validate_window,
 )
 from bweyl.weak_order import (
     Ideal,
@@ -401,9 +403,13 @@ def test_iter_reduced_words_products_and_count():
     (lambda: splitting_transport([(1, 2), (1, 1)], [(1, 2)]), "(1, 1)"),
     (lambda: splitting_restriction([(1, 2)], [(3, 1)], ()), "(3, 1)"),
     (lambda: quotient_of_interval((1, 1)), "(1, 1)"),
+    (lambda: parabolic_blocks((5, 7), ()), "(5, 7)"),
+    (lambda: inversion_roots((1, 1)), "(1, 1)"),
+    (lambda: validate_window((True, 2)), "(True, 2)"),
 ], ids=["left_leq", "right_leq", "lower_covers_left", "reduced_word_count",
         "iter_reduced_words", "parabolic_factor", "is_splitting", "splitting_transport",
-        "splitting_restriction", "quotient_of_interval"])
+        "splitting_restriction", "quotient_of_interval", "parabolic_blocks",
+        "inversion_roots", "bool_entry"])
 def test_public_window_arguments_are_validated(call, bad):
     # each used to answer silently (or raise KeyError), some naming a
     # window derived from the input rather than the input
