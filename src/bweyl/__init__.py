@@ -57,6 +57,7 @@ from .signed_perm import (
 )
 from .weak_order import (
     Ideal,
+    ideal_polynomial,
     interval_right,
     iter_reduced_words,
     left_leq,

@@ -38,13 +38,7 @@ from .signed_perm import (
     parse_window,
     sort_windows,
 )
-from .weak_order import (
-    interval_right,
-    iter_reduced_words,
-    lower_ideal_left,
-    rank_polynomial,
-    reduced_word_count,
-)
+from .weak_order import ideal_polynomial, iter_reduced_words, reduced_word_count
 
 MAX_ELEMENT_RANK = 8
 MAX_LISTED_WORDS = 100_000
@@ -139,13 +133,12 @@ def _cmd_minimal_nonsep(args) -> int:
 
 def _cmd_ideal_poly(args) -> int:
     w = _window_arg(args.window)
-    ideal = interval_right(w) if args.right else lower_ideal_left(w)
-    poly = rank_polynomial(ideal)
+    poly = ideal_polynomial("lower-right" if args.right else "lower-left", w)
     _emit(
         {
             "window": format_window(w),
             "order": "right" if args.right else "left",
-            "size": len(ideal),
+            "size": poly(1),
             "polynomial": str(poly),
             "coefficients": poly.to_list(),
             "symmetric": poly.is_symmetric(),

@@ -30,12 +30,11 @@ from .reports import LemmaReport, lemma_report, require_rank
 from .root_system import full_system, is_separable_recursive
 from .signed_perm import Window, all_windows, identity, inverse, inversion_mask, length
 from .weak_order import (
-    interval_right,
+    ideal_polynomial,
     iter_reduced_words,
     lower_ideal_left,
     rank_polynomial,
     reduced_word_count,
-    upper_ideal_left,
 )
 
 
@@ -107,7 +106,7 @@ def _shift_case(w: Window) -> tuple[str, int] | None:
 def _shift_witness(w: Window, sign: str, i: int) -> dict | None:
     """The coefficient-shift test on one classified w; None when it holds."""
     place = i + 1  # 1-based place of the magnitude-n entry
-    f = rank_polynomial(lower_ideal_left(w))
+    f = ideal_polynomial("lower-left", w)
     lw = length(w)
     delta = 1 if sign == "plus" else -1
     ok = all(f.coefficient(d) == f.coefficient(lw - d) for d in range(place))
@@ -148,7 +147,7 @@ def check_not_rank_symmetric(n: int) -> LemmaReport:
     right interval whose rank polynomial is not symmetric.
     """
     def case(w: Window) -> dict | None:
-        f = rank_polynomial(interval_right(w))
+        f = ideal_polynomial("lower-right", w)
         return {"window": w, "coeffs": f.to_list()} if f.is_symmetric() else None
 
     return _sweep("not-rank-symmetric", n, lambda n: (
@@ -218,7 +217,7 @@ def check_rank_symmetry_proposition(n: int) -> LemmaReport:
     symmetric and unimodal lower-ideal rank polynomial.
     """
     def case(w: Window) -> dict | None:
-        f = rank_polynomial(lower_ideal_left(w))
+        f = ideal_polynomial("lower-left", w)
         if f.is_symmetric() and f.is_unimodal():
             return None
         return {"window": w, "coeffs": f.to_list()}
@@ -236,8 +235,8 @@ def check_separable_product_identity(n: int) -> LemmaReport:
     polynomial of the group.
     """
     def case(w: Window) -> dict | None:
-        lower = rank_polynomial(lower_ideal_left(w))
-        upper = rank_polynomial(upper_ideal_left(w))
+        lower = ideal_polynomial("lower-left", w)
+        upper = ideal_polynomial("upper-left", w)
         ok = (
             lower * upper == group_poincare(n)
             and lower.is_symmetric()

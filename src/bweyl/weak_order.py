@@ -15,7 +15,9 @@ w^-1 inverted; and the longest element w0 = -1 is central with
 x -> w0 * x reversing the left order, so an upper left ideal is the right
 ideal of -w^-1 mapped through y -> -y^-1.  Each level is mapped as it is
 produced.  An ideal keeps the sizes of its levels, so it is materialized
-with its grading and its rank polynomial needs no length computation.
+with its grading and its rank polynomial needs no length computation;
+a caller that needs only the polynomial counts the levels of the same
+search (`ideal_polynomial`) and builds no ideal.
 Every ideal is capped at MAX_IDEAL_ELEMENTS elements.
 
 The left-descent functions (`lower_covers_left`, `iter_reduced_words`)
@@ -131,16 +133,37 @@ def _levels(seed: Window) -> Iterator[set[Window]]:
         layer = below
 
 
-def _ideal(kind: str, apex: Window, seed: Window,
-           image: Callable[[Window], Window] | None = None) -> Ideal:
+def _negated_inverse(w: Window) -> Window:
+    """w0 * w^-1 = -w^-1."""
+    return tuple(-x for x in inverse(w))
+
+
+#: Each kind of ideal at w is the right ideal below image(w), mapped
+#: through image (both maps are involutions; None is the identity).
+_IMAGES: dict[str, Callable[[Window], Window] | None] = {
+    "lower-left": inverse,
+    "upper-left": _negated_inverse,
+    "lower-right": None,
+}
+
+
+def _seed(kind: str, w: Window) -> Window:
+    """The apex of the right ideal that the ideal of the given kind at w is mapped from."""
+    image = _IMAGES[kind]
+    return w if image is None else image(w)
+
+
+def _ideal(kind: str, apex: Window) -> Ideal:
     """
-    The ideal of the given kind: the levels below seed, each mapped
-    through image as it is produced, so no second full-size set is built.
+    The ideal of the given kind: the levels below its seed, each mapped
+    through its image as it is produced, so no second full-size set is
+    built.
     """
+    image = _IMAGES[kind]
     sizes: list[int] = []
 
     def walk() -> Iterator[Window]:
-        for layer in _levels(seed):
+        for layer in _levels(_seed(kind, apex)):
             sizes.append(len(layer))
             yield from layer if image is None else map(image, layer)
 
@@ -148,18 +171,12 @@ def _ideal(kind: str, apex: Window, seed: Window,
     return Ideal(kind, apex, elements, tuple(sizes))
 
 
-def _negated_inverse(w: Window) -> Window:
-    """w0 * w^-1 = -w^-1."""
-    return tuple(-x for x in inverse(w))
-
-
 def lower_ideal_left(w: Window) -> Ideal:
     """
     All u <= w in the left order: u^-1 <= w^-1 in the right order, so
     they are the inverses of the right ideal of w^-1.
     """
-    w = validate_window(w)
-    return _ideal("lower-left", w, inverse(w), inverse)
+    return _ideal("lower-left", validate_window(w))
 
 
 def upper_ideal_left(w: Window) -> Ideal:
@@ -168,26 +185,47 @@ def upper_ideal_left(w: Window) -> Ideal:
     they are the negated elements of the lower left ideal of -w, that is
     the images under y -> -y^-1 of the right ideal of -w^-1.
     """
-    w = validate_window(w)
-    return _ideal("upper-left", w, _negated_inverse(w), _negated_inverse)
+    return _ideal("upper-left", validate_window(w))
 
 
 def interval_right(u: Window) -> Ideal:
     """All x <= u in the right order, by downward search through right covers."""
-    u = validate_window(u)
-    return _ideal("lower-right", u, u)
+    return _ideal("lower-right", validate_window(u))
+
+
+def _graded(kind: str, sizes: tuple[int, ...]) -> Poly:
+    """
+    Level sizes as a polynomial graded from the bottom of the ideal: an
+    upper ideal's levels already run up from its bottom, a lower ideal's
+    run down from its top.
+    """
+    return Poly(sizes if kind == "upper-left" else sizes[::-1])
 
 
 def rank_polynomial(ideal: Ideal) -> Poly:
     """
     The rank generating polynomial of an ideal, graded by length from the
     bottom of the ideal (for upper ideals the grading is shifted so the
-    generating element sits in rank zero).  Read off the level sizes:
-    an upper ideal's levels already run up from its bottom, a lower
-    ideal's run down from its top.
+    generating element sits in rank zero), read off its level sizes.
     """
-    sizes = ideal.level_sizes
-    return Poly(sizes if ideal.kind == "upper-left" else sizes[::-1])
+    return _graded(ideal.kind, ideal.level_sizes)
+
+
+def ideal_polynomial(kind: str, w: Window) -> Poly:
+    """
+    rank_polynomial of the ideal of the given kind ("lower-left",
+    "upper-left" or "lower-right") at w, counted from the levels of its
+    search alone: no element is mapped and no set of the whole ideal is
+    built, so at most two levels are alive at once.  The same element
+    limit applies.
+
+    >>> ideal_polynomial("lower-left", (-1, -2)).to_list()
+    [1, 2, 2, 2, 1]
+    """
+    if kind not in _IMAGES:
+        raise ValueError(f"unknown ideal kind {kind!r}; expected one of {sorted(_IMAGES)}")
+    seed = _seed(kind, validate_window(w))
+    return _graded(kind, tuple(len(layer) for layer in _levels(seed)))
 
 
 def reduced_word_count(w: Window) -> int:
@@ -228,7 +266,13 @@ def _reduced_words(w: Window) -> Iterator[tuple[int, ...]]:
 
 
 def product_word(n: int, word: tuple[int, ...]) -> Window:
-    """Multiply out a word of generator indices in rank n."""
+    """
+    Multiply out a word of generator indices in rank n.  Raises ValueError
+    on an index outside 0..n-1.
+    """
+    for i in word:
+        if i not in range(n):
+            raise ValueError(f"generator index {i} out of range [0, {n - 1}]")
     out = identity(n)
     for i in reversed(word):
         out = left_mul_simple(i, out)

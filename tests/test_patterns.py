@@ -2,6 +2,7 @@
 and the minimality criteria."""
 
 import random
+import re
 from itertools import chain, combinations
 
 import pytest
@@ -20,8 +21,12 @@ from bweyl.patterns import (
     _has_forbidden_quad,
     _inverse_quad_through_last,
     _minimal,
+    _minimal_definitional,
     _minnonsep_quad_through_last,
     _separable,
+    _separable_block,
+    _st,
+    _sts,
     contains_pattern,
     inverse_minimality_criterion,
     is_doubly_minimal,
@@ -33,6 +38,7 @@ from bweyl.patterns import (
     st,
     sts,
 )
+from bweyl.quotients import verify_main_theorem
 from bweyl.signed_perm import (
     all_windows,
     compose,
@@ -64,6 +70,19 @@ def test_sts_named_values():
         assert sts(w) == w
 
 
+@given(hs.lists(hs.integers(-60, 60).filter(bool), unique=True, max_size=10))
+def test_st_core_matches_validating_st(seq):
+    # the literal rank: one more than the number of smaller entries
+    assert _st(seq) == st(seq) == tuple(1 + sum(y < x for y in seq) for x in seq)
+
+
+@given(hs.lists(hs.integers(-60, 60).filter(bool), unique_by=abs, max_size=10))
+def test_sts_core_matches_validating_sts(seq):
+    # the sign kept, the magnitude ranked among the magnitudes
+    ranks = [1 + sum(abs(y) < abs(x) for y in seq) for x in seq]
+    assert _sts(seq) == sts(seq) == tuple(r if x > 0 else -r for r, x in zip(ranks, seq))
+
+
 def test_standardization_rejections():
     with pytest.raises(ValueError):
         st((1, 1))
@@ -84,6 +103,14 @@ def test_contains_pattern_named_values():
     w = (3, -1, 4, 2)
     assert contains_pattern(w, w)
     assert not contains_pattern((2, 1), (3, 1, 4, 2))  # pattern longer than window
+
+
+def test_contains_pattern_rejects_non_windows():
+    # each used to answer False
+    for w, p, bad in (((1, 2, 3), (0, 1), "(0, 1)"), ((1, 2, 3), (1, 1), "(1, 1)"),
+                      ((1, 2, 3), (), "()"), ((1, 5, 3), (2, 1), "(1, 5, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"not a signed permutation window: {bad}")):
+            contains_pattern(w, p)
 
 
 # ----------------------------------------------------------------- separability
@@ -125,6 +152,22 @@ def signed_windows(draw, lo, hi):
 @given(signed_windows(6, 9))
 def test_separability_scans_match_containment_at_larger_ranks(w):
     _assert_scans_match_containment(w)
+
+
+def _large_schroeder(n):
+    """S_n by (k+1) S_k = 3(2k-1) S_{k-1} - (k-2) S_{k-2}, with S_0 = 1, S_1 = 2."""
+    s = [1, 2]
+    for k in range(2, n + 1):
+        s.append((3 * (2 * k - 1) * s[k - 1] - (k - 2) * s[k - 2]) // (k + 1))
+    return s[n]
+
+
+def test_separable_counts_are_large_schroeder_numbers():
+    assert [_large_schroeder(n) for n in range(1, 7)] == [2, 6, 22, 90, 394, 1806]
+    for n in range(1, 7):
+        assert sum(map(_separable, all_windows(n))) == _large_schroeder(n), n
+    for n in range(2, 5):
+        assert verify_main_theorem(n).counts["separable"] == _large_schroeder(n), n
 
 
 def test_standardization_fibers_match_catalog():
@@ -217,6 +260,30 @@ def test_minimality_fast_equals_definitional_small_ranks():
             assert is_minimal_nonseparable_fast(w) == (
                 is_minimal_nonseparable_definitional(w)
             ), w
+
+
+def _minimal_by_subgroup_factor(w):
+    """
+    The definition with nothing cached: non-separable, and for each
+    deleted generator s_i both blocks of the subgroup factor of
+    parabolic_factor(w, {i}), shifted down to windows, are separable.
+    """
+    if _separable(w):
+        return False
+    for i in range(len(w)):
+        b = parabolic_factor(w, (i,))[1]
+        blocks = [b[:i], tuple(x - i for x in b[i:])]
+        if not all(_separable(block) for block in blocks if block):
+            return False
+    return True
+
+
+def test_memoized_definitional_minimality_matches_uncached_factor_blocks():
+    _separable_block.cache_clear()
+    for n in range(1, 6):
+        for w in all_windows(n):
+            assert _minimal_definitional(w) == _minimal_by_subgroup_factor(w), w
+    assert _separable_block.cache_info().hits > 0
 
 
 def _quad_through_last_by_sts(w, quads):

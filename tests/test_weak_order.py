@@ -32,6 +32,7 @@ from bweyl.signed_perm import (
 )
 from bweyl.weak_order import (
     Ideal,
+    ideal_polynomial,
     interval_right,
     iter_reduced_words,
     left_leq,
@@ -282,6 +283,26 @@ def test_rank_polynomial_matches_element_lengths():
             assert rank_polynomial(ideal) == from_lengths(ideal), (build.__name__, w)
 
 
+def test_ideal_polynomial_matches_materialized_ideals():
+    cases = [w for n in range(1, 5) for w in all_windows(n)]
+    cases += [longest_element(5), longest_element(6)]
+    for w in cases:
+        for build in (lower_ideal_left, upper_ideal_left, interval_right):
+            ideal = build(w)
+            assert ideal_polynomial(ideal.kind, w) == rank_polynomial(ideal), (ideal.kind, w)
+
+
+def test_ideal_polynomial_budget_and_kinds(monkeypatch):
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 47)
+    for kind, w in (("lower-left", longest_element(3)),
+                    ("upper-left", identity(3)),
+                    ("lower-right", longest_element(3))):
+        with pytest.raises(ValueError, match="element limit 47: 48 elements reached"):
+            ideal_polynomial(kind, w)
+    with pytest.raises(ValueError, match="unknown ideal kind 'upper-right'"):
+        ideal_polynomial("upper-right", identity(3))
+
+
 def test_ideal_element_budget(monkeypatch):
     # B_3 has 48 elements in length levels 1, 3, 5, 7, 8, 8, 7, 5, 3, 1
     monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 48)
@@ -389,6 +410,15 @@ def test_iter_reduced_words_products_and_count():
             assert product_word(3, word) == w
 
 
+def test_product_word_rejects_out_of_range_generators():
+    # product_word(3, (7,)) used to return the identity
+    for word, bad in (((7,), 7), ((0, 3), 3), ((1, -1), -1)):
+        with pytest.raises(ValueError, match=f"generator index {bad} out of range"):
+            product_word(3, word)
+    assert product_word(3, (2, 1, 0)) == compose(
+        compose(simple_reflection(3, 2), simple_reflection(3, 1)), simple_reflection(3, 0))
+
+
 # ------------------------------------------------------------- public boundary
 
 
@@ -406,10 +436,11 @@ def test_iter_reduced_words_products_and_count():
     (lambda: parabolic_blocks((5, 7), ()), "(5, 7)"),
     (lambda: inversion_roots((1, 1)), "(1, 1)"),
     (lambda: validate_window((True, 2)), "(True, 2)"),
+    (lambda: ideal_polynomial("lower-left", (1, 1)), "(1, 1)"),
 ], ids=["left_leq", "right_leq", "lower_covers_left", "reduced_word_count",
         "iter_reduced_words", "parabolic_factor", "is_splitting", "splitting_transport",
         "splitting_restriction", "quotient_of_interval", "parabolic_blocks",
-        "inversion_roots", "bool_entry"])
+        "inversion_roots", "bool_entry", "ideal_polynomial"])
 def test_public_window_arguments_are_validated(call, bad):
     # each used to answer silently (or raise KeyError), some naming a
     # window derived from the input rather than the input
