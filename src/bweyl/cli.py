@@ -1,13 +1,10 @@
 """
-Command line surface.
-
-Exit status: 0 for answered queries and passing checks, 1 when a check
-finds a counterexample or a split-check fails, 2 for usage errors and
-for input the library rejects with ValueError (a malformed window, an
-ideal over its element limit).  When the reader of stdout goes away
-(`bweyl ... | head -1`) the command stops quietly with status 141, the
-128 + SIGPIPE a shell reports for a writer killed by a closed pipe.
-Windows are passed as quoted strings of signed decimals ("-2 3 4 5 1").
+Command line surface; windows are quoted strings ("-2 3 4 5 1").  Exit
+status: 0 for answered queries and passing checks, 1 when a check finds
+a counterexample or a split-check fails, 2 for usage errors and input
+the library rejects with ValueError (a malformed window, an ideal over
+its element limit), and 141 (128 + SIGPIPE, quietly) when the reader of
+stdout goes away (`bweyl ... | head -1`).
 """
 
 from __future__ import annotations

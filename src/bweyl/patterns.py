@@ -3,13 +3,12 @@ Standardization, signed pattern containment, the six-pattern test for
 separability, parabolic factorization, and the minimal non-separability
 criteria.
 
-Patterns are themselves windows; w contains the pattern p when some index
-subsequence of w standardizes (signed standardization) to p.  A window is
-separable exactly when it avoids the six forbidden patterns below; the
-quadruple families refine that test to recognize the minimal non-separable
-windows and those whose inverses stay minimal.
-The public predicates raise ValueError on a non-window; sweeps call the
-unvalidated cores (`_separable`, `_minimal`, ...) on windows they made.
+w contains the pattern p (a window) when some subsequence of w has
+signed standardization p.  Separable windows avoid the six forbidden
+patterns; quadruple families refine the test to the minimal
+non-separable windows and those whose inverses stay minimal.  The public
+predicates raise ValueError on a non-window; sweeps call the unvalidated
+cores (`_separable`, `_minimal`, ...) on windows they made.
 """
 
 from __future__ import annotations
@@ -109,14 +108,13 @@ def sts(seq: Sequence[int]) -> Window:
 
 def contains_pattern(w: Sequence[int], p: Window) -> bool:
     """
-    Whether some subsequence of w standardizes (signed) to p.
+    Whether some subsequence of w standardizes (signed) to p; both must be
+    windows (ValueError otherwise).
 
     >>> contains_pattern((-2, 3, 4, 5, 1), (-2, 1))
     True
     >>> contains_pattern((1, 2, 3, 4), (2, 1))
     False
-
-    Both arguments must be windows; anything else raises ValueError.
     """
     w, p = validate_window(w), validate_window(p)
     return any(_sts(tuple(w[i] for i in idx)) == p
@@ -141,14 +139,10 @@ def _has_forbidden_pair(w: Sequence[int]) -> bool:
 def _has_forbidden_quad(w: Sequence[int]) -> bool:
     """
     Whether w contains one of the four length-4 forbidden patterns, by
-    comparing entries directly.  Each pattern has one sign throughout.
-    On positive entries magnitudes order as values, so (3, 1, 4, 2) is the
-    value chain b < d < a < c and (2, 4, 1, 3) is c < a < d < b.  On
-    negative entries the value order is the magnitude order reversed, so
-    (-3, -1, -4, -2) is c < a < d < b and (-2, -4, -1, -3) is
-    b < d < a < c.  A quadruple (a, b, c, d) therefore matches when one
-    of the two chains holds and all four entries share a sign; along a
-    chain that is its least and greatest entry sharing one.
+    comparing entries: a quadruple (a, b, c, d) matches (3, 1, 4, 2) or
+    (-2, -4, -1, -3) as the chain b < d < a < c, and (2, 4, 1, 3) or
+    (-3, -1, -4, -2) as c < a < d < b, with all four entries of one sign:
+    the least of the chain above 0 or the greatest below it.
     """
     for a, b, c, d in combinations(w, 4):
         if (b < d < a < c and (b > 0 or c < 0)) or (c < a < d < b and (c > 0 or b < 0)):
@@ -181,13 +175,11 @@ def parabolic_factor(
     w: Window, removed: Iterable[int]
 ) -> tuple[Window, Window]:
     """
-    Factor w = q * b over the standard parabolic subgroup obtained by
-    deleting the generators s_p for p in removed.  The deleted indices cut
-    the window into blocks; the subgroup factor b standardizes each block
-    in place (signed standardization on the block before the first cut,
-    unsigned and shifted on the later blocks), while the quotient factor q
-    sorts each block increasingly (by magnitude before the first cut).
-    Lengths add: length(w) = length(q) + length(b).
+    Factor w = q * b over the standard parabolic subgroup without the
+    generators s_p, p in removed, which cut the window into blocks.  b
+    standardizes each block in place (signed before the first cut,
+    unsigned and shifted after), q sorts it (by magnitude before the first
+    cut).  Lengths add: length(w) = length(q) + length(b).
 
     With removed empty the subgroup is everything: returns (identity, w).
     """
@@ -236,10 +228,8 @@ def _separable_block(block: Window) -> bool:
 def _minimal_definitional(w: Window) -> bool:
     """
     Deleting s_i cuts w into the blocks w[:i] (signed, absent for i = 0)
-    and w[i:] (unsigned): the blocks of parabolic_blocks(w, (i,)).  The
-    cuts run from the last, as a long signed prefix is the block most
-    non-separable windows fail first (72,214 blocks at rank 6 against
-    181,352 from the first cut).
+    and w[i:] (unsigned).  The cuts run from the last: most non-separable
+    windows fail on a long signed prefix first.
     """
     if _separable(w):
         return False
@@ -310,11 +300,10 @@ def _minimal(w: Window) -> bool:
 
 def is_minimal_nonseparable_fast(w: Window) -> bool:
     """
-    The direct window test for minimal non-separability: the prefix
-    w_1..w_{n-1} avoids both length-2 patterns and w avoids the four
-    length-4 separability patterns; some pair (w_i, w_n) realizes the
-    length-2 violation matching the sign of w_n; and no quadruple through
-    w_n standardizes into the forbidden family for that sign.
+    The direct window test for minimal non-separability: w_1..w_{n-1}
+    avoids the length-2 patterns and w the length-4 ones; some (w_i, w_n)
+    is the length-2 violation for the sign of w_n; and no quadruple
+    through w_n is in the forbidden family for that sign.
     """
     return _minimal(validate_window(w))
 
@@ -329,12 +318,10 @@ def _inverse_minimal(w: Window) -> bool:
 
 def inverse_minimality_criterion(w: Window) -> bool:
     """
-    For a minimal non-separable w, decide whether its inverse is also
-    minimal non-separable: deleting the entry of magnitude n (which sits
-    before the last place) must leave a separable standardization, and no
-    quadruple through w_n may standardize into the inverse-forbidden
-    family for the sign of w_n.  Raises ValueError when w is not minimal
-    non-separable.
+    For a minimal non-separable w, whether its inverse is one too:
+    deleting the magnitude-n entry (before the last place) leaves a
+    separable standardization, and no quadruple through w_n is in the
+    inverse-forbidden family for its sign.  ValueError for any other w.
     """
     w = validate_window(w)
     if not _minimal(w):

@@ -135,9 +135,8 @@ def from_counts(values: Sequence[int]) -> Poly:
 @lru_cache(maxsize=8)
 def group_poincare(n: int) -> Poly:
     """
-    Length generating polynomial of the rank-n signed permutation group:
-    the product of 1 + q + ... + q^(2i-1) for i = 1..n (the degrees of the
-    group are 2, 4, ..., 2n).
+    Length generating polynomial of the rank-n group: the product of
+    1 + q + ... + q^(2i-1) for i = 1..n (degrees 2, 4, ..., 2n).
 
     >>> str(group_poincare(2))
     '1 + 2q + 2q^2 + 2q^3 + q^4'

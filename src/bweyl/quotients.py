@@ -1,27 +1,24 @@
 """
 Generalized quotients and splitting verification.
 
-For a set U of signed permutations, the generalized quotient is the set
-of w whose products wu are length-additive against every u in U, that is
-whose inversion mask misses the OR of the masks of the u^-1.  When U
-is the principal right interval below u, the quotient is itself a
-principal left interval generated by w0 * u^-1, which is how the checks
-here compute it.  A pair (X, Y) splits the group when multiplication
-X x Y -> group is length-additive and bijective; the main verification
-sweeps every u and compares "([quotient], interval) splits" against
-separability of u.
+The generalized quotient of a set U is the set of w with w * u
+length-additive for every u in U: the inversion mask of w misses the OR
+of the masks of the u^-1.  For U the right interval below u it is the
+left interval below w0 * u^-1.  (X, Y) splits the group when
+multiplication X x Y -> group is length-additive and bijective; the
+theorem sweep compares "(quotient, interval) splits" with separability.
 
-The sweep runs on the whole group indexed as ints (`_GroupTables`): ideal
-sizes come from one bitset pass in length order, and products from table
-lookups.  The tuple functions answer one element at a time and serve as
-the reference the table path is tested against.
+The sweep runs on the whole group indexed as ints (`_GroupTables`); one
+element's check (`splits_with_interval`) walks window tuples, one place
+move per product.  `_splitting_report` is the literal check both are
+tested against.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 from .patterns import _separable, parabolic_factor
@@ -40,7 +37,15 @@ from .signed_perm import (
     longest_element,
     validate_window,
 )
-from .weak_order import interval_right, lower_ideal_left
+from . import weak_order
+from .weak_order import _levels, interval_right, lower_ideal_left
+
+
+def _require_enumerable(n: int) -> None:
+    """ValueError before a scan of the rank-n group when it outgrows the ideal limit."""
+    if group_order(n) > weak_order.MAX_IDEAL_ELEMENTS:
+        raise ValueError(f"rank-{n} group exceeds the element limit "
+                         f"{weak_order.MAX_IDEAL_ELEMENTS}: {group_order(n)} elements")
 
 
 @lru_cache(maxsize=2)
@@ -57,6 +62,7 @@ def generalized_quotient(U: Iterable[Window], n: int) -> frozenset[Window]:
     members = set(U)
     if not members:
         raise ValueError("generalized quotient of an empty set is degenerate")
+    _require_enumerable(n)
     masks = _group_masks(n)
     strays = members - masks.keys()
     if strays:
@@ -66,10 +72,7 @@ def generalized_quotient(U: Iterable[Window], n: int) -> frozenset[Window]:
 
 
 def quotient_of_interval(u: Window) -> frozenset[Window]:
-    """
-    The generalized quotient of the right interval below u, computed as
-    the left interval below w0 * u^-1.
-    """
+    """The generalized quotient of the right interval below u: L(w0 * u^-1)."""
     u = validate_window(u)
     w0 = longest_element(len(u))
     return lower_ideal_left(compose(w0, inverse(u))).elements
@@ -145,9 +148,8 @@ def is_splitting(
 
 def _greatest(Zs: Iterable[Window]) -> Window | None:
     """
-    The greatest element of Zs in the left order, or None: the left order
-    is containment of inversion sets, so it is the element whose mask is
-    the union of all of theirs, if there is one.
+    The greatest element of Zs in the left order (containment of masks):
+    the one whose mask is the union of all of theirs, or None.
     """
     by_mask = {inversion_mask(z): z for z in Zs}
     return by_mask.get(reduce(or_, by_mask, 0))
@@ -181,6 +183,7 @@ def splitting_transport(
 
 def parabolic_subgroup(n: int, removed: Iterable[int]) -> frozenset[Window]:
     """Elements of the parabolic subgroup: trivial quotient factor."""
+    _require_enumerable(n)
     removed = tuple(sorted(set(removed)))
     e = identity(n)
     return frozenset(
@@ -190,6 +193,7 @@ def parabolic_subgroup(n: int, removed: Iterable[int]) -> frozenset[Window]:
 
 def minimal_coset_representatives(n: int, removed: Iterable[int]) -> frozenset[Window]:
     """Elements equal to their own quotient factor."""
+    _require_enumerable(n)
     removed = tuple(sorted(set(removed)))
     return frozenset(
         w for w in all_windows(n) if parabolic_factor(w, removed)[0] == w
@@ -214,24 +218,69 @@ def splitting_restriction(
     return _splitting_report(Xr, Yr, subgroup, len(subgroup))
 
 
+def _walk_splits(tree: list[set[Window]], row: list[Window], order: int) -> bool:
+    """
+    Whether the products o^-1 * t, for o^-1 in row and t in the tree (its
+    levels from the apex down to the identity, as `_levels` yields them),
+    are length-additive and number `order` distinct elements.  Climbing
+    from the identity, t = t' * s_i for its first right descent i, so the
+    row of t is that of t' with places i, i+1 swapped (place 1 negated for
+    i = 0) in every product, which lengthens it exactly when i is an
+    ascent of it: one comparison per product.
+    """
+    seen = set(row)
+    width = len(row)
+    rows = {e: row for e in tree[-1]}
+    for level in reversed(tree[:-1]):
+        below, rows = rows, {}
+        for t in level:
+            if t[0] < 0:
+                moved = [(-p[0],) + p[1:] for p in below[(-t[0],) + t[1:]] if p[0] > 0]
+            else:
+                i = 1
+                while t[i - 1] < t[i]:
+                    i += 1
+                j = i - 1
+                moved = [p[:j] + (p[i], p[j]) + p[i + 1:]
+                         for p in below[t[:j] + (t[i], t[j]) + t[i + 1:]] if p[j] < p[i]]
+            if len(moved) < width:
+                return False
+            seen.update(moved)
+            rows[t] = moved
+    return len(seen) == order
+
+
 def splits_with_interval(u: Window) -> SplittingReport:
-    """The splitting check for the pair (quotient of interval, interval)."""
-    U = interval_right(u).elements
-    X = quotient_of_interval(u)
-    return _splitting_report(sorted(X), sorted(U), None, group_order(len(u)))
+    """
+    The splitting check for (X, Y) = (quotient of interval, interval), on
+    two right-order searches: Y is the right ideal below u and X^-1 the
+    one below u * w0 = -u.  The larger factor is walked as the tree, the
+    inverses of the other are the first row, so the products are the
+    x * y or their inverses, which keep lengths and distinctness.  A
+    failed walk reruns the literal check for its witness.
+    """
+    u = validate_window(u)
+    order = group_order(len(u))
+    y = list(_levels(u))
+    x_inv = list(_levels(tuple(-v for v in u)))
+    counts = (sum(map(len, x_inv)), sum(map(len, y)), order)
+    if counts[0] * counts[1] != order:
+        return SplittingReport(False, False, counts)
+    tree, other = (y, x_inv) if counts[0] <= counts[1] else (x_inv, y)
+    if _walk_splits(tree, [inverse(v) for level in other for v in level], order):
+        return SplittingReport(True, True, counts)
+    X = [inverse(v) for level in x_inv for v in level]
+    return _splitting_report(sorted(X), sorted(v for level in y for v in level), None, order)
 
 
 class _GroupTables:
     """
     The rank-n group indexed as ints, elements sorted by (length, window).
-
-    Left multiplication by each generator s_i is stored as two arrays,
-    split by whether the product goes down or up one length: down[i][k]
-    is the index of s_i * w_k when that is shorter and the sentinel
-    `order` otherwise, up[i][k] the same when it is longer.  Both map the
-    sentinel to itself, so a walk that leaves the cover relation stays at
-    the sentinel.  inv[k] is the index of w_k^-1: the right order is the
-    left order of the inverses, so the left tables serve both orders.
+    down[i][k] is the index of s_i * w_k when that is shorter and the
+    sentinel `order` otherwise, up[i][k] the same when it is longer; both
+    map the sentinel to itself, so a walk off the cover relation stays
+    there.  inv[k] is the index of w_k^-1, so the left tables serve the
+    right order too.
     """
 
     def __init__(self, n: int) -> None:
@@ -275,19 +324,12 @@ class _GroupTables:
     def splits(self, x_apex: int, u: int) -> bool:
         """
         Whether (X, Y) splits the group, with X the lower left ideal of
-        x_apex and Y the lower right interval of u.  Y is read as Y^-1,
-        the lower left ideal of u^-1.
-
-        Every product is built from one already made by one lookup, along
-        a spanning tree of the smaller factor: x * y is s_i * (x' * y)
-        for x = s_i * x', and when Y^-1 is smaller the walk makes
-        (x * y)^-1 = y^-1 * x^-1 instead, as s_i * (y'^-1 * x^-1) for
-        y^-1 = s_i * y'^-1.  Inverting preserves length, so those products
-        are additive and collide exactly when the x * y do.  The lookups
-        are in the ascent tables, so a product reached without the
-        sentinel has length l(x) + l(y); with #X * #Y = #W, the products
-        then cover the group exactly when none is the sentinel and none
-        collide.
+        x_apex and Y the lower right interval of u, read as Y^-1, the lower
+        left ideal of u^-1.  The smaller factor is walked as a spanning
+        tree: x * y = s_i * (x' * y) for x = s_i * x', or the same for the
+        inverse products y^-1 * x^-1.  Lookups are in the ascent tables, so
+        a product that is not the sentinel is additive; with #X * #Y = #W
+        the products cover the group when none is the sentinel or collides.
         """
         inv = self.inv
         X = self.below(x_apex)
@@ -302,9 +344,11 @@ class _GroupTables:
         place = {z: j for j, z in enumerate(tree)}
         rows = [row]
         seen = set(row)
+        # The loop runs only on a tree of two or more, and a row is never
+        # shorter than the tree, so itemgetter returns a tuple.
         for z in tree[1:]:
             i = next(i for i, down in enumerate(self.down) if down[z] != sentinel)
-            row = list(map(self.up[i].__getitem__, rows[place[self.down[i][z]]]))
+            row = itemgetter(*rows[place[self.down[i][z]]])(self.up[i])
             seen.update(row)
             rows.append(row)
         seen.discard(sentinel)
@@ -313,12 +357,10 @@ class _GroupTables:
 
 def _lower_ideal_sizes(tables: _GroupTables) -> array:
     """
-    The size of every principal lower left ideal, indexed like tables.
-
-    One pass in length order: the ideal of w is w's own bit OR'd with the
-    ideals of its lower covers, as an int bitset.  A bitset is dropped as
-    soon as every upper cover of its element has used it, so only the
-    ideals of a band of adjacent lengths are alive at once.
+    The size of every principal lower left ideal, indexed like tables, in
+    one pass in length order: the ideal of w as an int bitset is w's bit
+    OR'd with the ideals of its lower covers, each dropped once all the
+    upper covers of its element have used it.
     """
     order = tables.order
     sizes = array("i", bytes(4 * order))

@@ -2,22 +2,17 @@
 The rank-n root system of the signed permutation group, in integer
 coordinates, with the recursive pivot test for separability.
 
-Roots are integer coordinate tuples of the ambient dimension n: the
-positive roots are e_i (1 <= i <= n) and -e_i + e_j, e_i + e_j
-(1 <= i < j <= n); the simple roots are a_0 = e_1 and a_i = -e_i + e_{i+1}.
-A set of positive roots is an int mask, bit k for the k-th root in the
-order of signed_perm.inversion_mask.  A subsystem is the intersection of
-the ambient roots with the span of a subset of simple roots; restriction
-of an inversion set to a subsystem is an AND.
-
-Both facts about simple roots used here are closed forms (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, ch. 1-4 and App. A1): a root v is
-sum c_k * a_k with c_k = sum(v[k:]), each c_k in {0, 1, 2} for a positive
-root; and the Dynkin diagram is the path a_0 - a_1 - ... - a_{n-1}, so two
-simple roots are non-orthogonal exactly when they are neighbours on it.
-The roots with c_p >= 1 form the support of a_p: a subsystem drops the
-supports of the simple roots it leaves out, and the roots of a subsystem
-dominance-above a_p are its mask AND that support.
+The positive roots are e_i and -e_i + e_j, e_i + e_j (i < j); the simple
+roots are a_0 = e_1 and a_i = -e_i + e_{i+1}.  A set of positive roots is
+an int mask, bit k for the k-th root in the order of
+signed_perm.inversion_mask; a subsystem holds the ambient roots in the
+span of some simple roots, and restriction to it is an AND.  Both facts
+about simple roots used here are closed forms (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, ch. 1-4 and App. A1): v = sum c_k * a_k
+with c_k = sum(v[k:]), and the Dynkin diagram is the path
+a_0 - a_1 - ... - a_{n-1}.  The roots with c_p >= 1 form the support of
+a_p: a subsystem drops the supports of the simple roots it leaves out,
+and its roots dominance-above a_p are its mask AND that support.
 """
 
 from __future__ import annotations

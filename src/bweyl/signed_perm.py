@@ -2,20 +2,20 @@
 Signed permutations of {±1, ..., ±n} in one-line "window" notation.
 
 A window is a tuple of n nonzero integers (w_1, ..., w_n) whose absolute
-values form a permutation of {1, ..., n}.  The window records the images
-w_i = w(i); the image of -i is always -w(i), so the window determines the
-whole bijection of {±1, ..., ±n}.  The text form is space separated signed
-decimals, e.g. "-2 3 4 5 1".
+values form a permutation of {1, ..., n}; it records the images w_i = w(i),
+and w(-i) = -w(i).  The text form is space separated signed decimals,
+e.g. "-2 3 4 5 1".  Products compose right to left: (u*v)(i) = u(v(i)).
+The generators are s_0, which negates the value 1, and s_i (1 <= i < n),
+which swaps the values i and i+1; multiplying s_i on the left acts on
+values, on the right on places.  The length of w is the size of its
+inversion set: negative entries, inversions and negative-sum pairs, kept
+as one int bitmask over the positive roots (`inversion_mask`).
 
-Products compose right to left: (u*v)(i) = u(v(i)), so the window of u*v
-is sign(v_i) * u_{|v_i|}.  The generators are s_0, which negates the value
-1, and s_i (1 <= i <= n-1), which swaps the values i and i+1; multiplying
-s_i on the left acts on values, multiplying on the right acts on places.
-
-The word length of w in these generators decomposes into three statistics
-on the window: negative entries, inversions, and pairs with negative sum.
-Together they are the inversion set of w, kept as one int bitmask over
-the positive roots (`inversion_mask`).
+`compose`, `inverse`, `length`, `inversion_mask`, `statistic_sets` and
+`format_window` are unchecked primitives for the hot loops: on a
+non-window they return a meaningless value or raise IndexError.  Check
+outside input with `validate_window` or `parse_window`; the order, ideal,
+pattern and splitting entry points do, and raise ValueError.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ def is_window(w: Sequence[int]) -> bool:
     Check that w is a valid window: nonzero int entries (not bool) whose
     absolute values are a permutation of {1, ..., n}.
 
-    >>> is_window((-2, 3, 4, 5, 1)), is_window((1, 1)), is_window((0, 2))
-    (True, False, False)
-    >>> is_window((True, 2))
-    False
+    >>> [is_window(w) for w in ((-2, 3, 4, 5, 1), (1, 1), (0, 2), (True, 2))]
+    [True, False, False, False]
     """
     n = len(w)
     if n == 0:
@@ -84,7 +82,7 @@ def parse_window(text: str) -> Window:
 
 
 def format_window(w: Sequence[int]) -> str:
-    """Render a window in its canonical text form.
+    """Render a window in its text form (unchecked: see `validate_window`).
 
     >>> format_window((-2, 3, 4, 5, 1))
     '-2 3 4 5 1'
@@ -146,7 +144,8 @@ def all_windows(n: int) -> Iterator[Window]:
 
 def compose(u: Window, v: Window) -> Window:
     """
-    The product u*v acting as u after v: (u*v)(i) = u(v(i)).
+    The product u*v acting as u after v: (u*v)(i) = u(v(i)).  Unchecked
+    primitive: u and v must be windows (see `validate_window`).
 
     >>> compose((2, 1), (-1, 2))
     (-2, 1)
@@ -159,7 +158,7 @@ def compose(u: Window, v: Window) -> Window:
 def inverse(w: Window) -> Window:
     """
     The group inverse: the value k sits at the signed place recorded by
-    inverse(w)_k.
+    inverse(w)_k.  Unchecked primitive: see `validate_window`.
 
     >>> inverse((-2, 3, 4, 5, 1))
     (5, -1, 2, 3, 4)
@@ -216,7 +215,8 @@ def statistic_sets(w: Window) -> StatisticSets:
     """
     The negative places, inversions, and negative-sum pairs of a window:
     neg = {i : w_i < 0}, inv = {(i, j) : i < j, w_i > w_j}, and
-    nsp = {(i, j) : i < j, w_i + w_j < 0}.
+    nsp = {(i, j) : i < j, w_i + w_j < 0}.  Unchecked primitive: see
+    `validate_window`.
 
     >>> s = statistic_sets((1, -2))
     >>> sorted(s.neg), sorted(s.inv), sorted(s.nsp)
@@ -237,7 +237,8 @@ def inversion_mask(w: Window) -> int:
     order root_system.full_system lists them: bit i-1 is e_i, set when
     w_i < 0; for the p-th pair i < j in lexicographic order, bit n+2p is
     -e_i + e_j, set when w_i > w_j, and bit n+2p+1 is e_i + e_j, set when
-    w_i + w_j < 0.  Its popcount is the length.
+    w_i + w_j < 0.  Its popcount is the length.  Unchecked primitive: see
+    `validate_window`.
 
     >>> bin(inversion_mask((1, -2)))
     '0b1110'
@@ -255,7 +256,8 @@ def inversion_mask(w: Window) -> int:
 def length(w: Window) -> int:
     """
     Word length in the generators: the inversion count minus the sum of
-    the negative entries (equivalently #neg + #inv + #nsp).
+    the negative entries (equivalently #neg + #inv + #nsp).  Unchecked
+    primitive: see `validate_window`.
 
     >>> length((2, 3, 5, 1, -4))
     11

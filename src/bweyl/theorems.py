@@ -1,14 +1,9 @@
 """
 Machine checks for the structural facts about minimal non-separable
-windows and their order ideals: entry-sign structure, the one-coefficient
-failure of rank symmetry, the unique-reduced-word element, the ideal
-factorization for windows ending (-n, n-1), and the product identity for
-separable elements.
-
-Every sweep runs through one driver, `_sweep`: it checks the rank against
-the table `reports.RANKS`, walks the check's universe and collects a
-witness for each element the check rejects.  A check with no qualifying
-elements passes vacuously.
+windows and their order ideals, and for the separable product identity.
+Every sweep runs through `_sweep`: it checks the rank against
+`reports.RANKS`, walks the check's universe and collects a witness for
+each element the check rejects; an empty universe passes vacuously.
 """
 
 from __future__ import annotations

@@ -2,27 +2,21 @@
 The two weak orders on signed permutations, their principal ideals, rank
 generating polynomials, and reduced word counting.
 
-u <= w on the left exactly when the inversion set of u is contained in
-that of w (one AND of inversion masks); the right order is the left
-order after inverting.  Ideals are enumerated one length level at a time
-down the right order, whose lower covers are cheap to find in the window
-itself: w * s_0 < w when w_1 < 0 (negate it), and w * s_i < w when
-w_i > w_{i+1} (swap the two places).  Every lower cover is one shorter
-than the element above it, so the k-th level is exactly the elements k
-below the apex.  The other ideals are images of right ideals: u <=_L w
-exactly when u^-1 <=_R w^-1, so a lower left ideal is the right ideal of
-w^-1 inverted; and the longest element w0 = -1 is central with
-x -> w0 * x reversing the left order, so an upper left ideal is the right
-ideal of -w^-1 mapped through y -> -y^-1.  Each level is mapped as it is
-produced.  An ideal keeps the sizes of its levels, so it is materialized
-with its grading and its rank polynomial needs no length computation;
-a caller that needs only the polynomial counts the levels of the same
-search (`ideal_polynomial`) and builds no ideal.
-Every ideal is capped at MAX_IDEAL_ELEMENTS elements.
+u <= w on the left exactly when the inversion mask of u is inside that
+of w; the right order is the left order of the inverses.  Ideals are
+searched one length level at a time down the right order, whose lower
+covers are read off the window: w * s_0 < w when w_1 < 0 (negate it),
+w * s_i < w when w_i > w_{i+1} (swap the places).  A lower left ideal is
+the right ideal of w^-1 inverted and, as w0 = -1 is central and x -> -x
+reverses the left order, an upper left ideal is the right ideal of
+-w^-1 mapped through y -> -y^-1, each level as it is produced.  An ideal
+keeps its level sizes, which give its rank polynomial; `ideal_polynomial`
+counts the levels and builds no ideal.  Every ideal is capped at
+MAX_IDEAL_ELEMENTS elements.
 
-The left-descent functions (`lower_covers_left`, `iter_reduced_words`)
-act on values through `left_mul_simple`, the literal definition the
-fast walks are tested against.
+`lower_covers_left` and `iter_reduced_words` act on values through
+`left_mul_simple`, the literal definition the fast walks are tested
+against.
 """
 
 from __future__ import annotations
@@ -89,9 +83,6 @@ class Ideal:
     def __iter__(self) -> Iterator[Window]:
         return iter(sorted(self.elements))
 
-    def rank_polynomial(self) -> Poly:
-        return rank_polynomial(self)
-
 
 def _right_covers(v: Window) -> list[Window]:
     """
@@ -109,12 +100,9 @@ def _right_covers(v: Window) -> list[Window]:
 def _levels(seed: Window) -> Iterator[set[Window]]:
     """
     Everything below seed in the right order, one length level at a time
-    from seed down, each level found from the one above by the moves of
-    `_right_covers` (written out in place here, as the call per element
-    costs this loop about a third more).  A lower cover is one shorter
-    than its element, so duplicates only arise within a level.  Raises
-    ValueError once the levels so far hold more than MAX_IDEAL_ELEMENTS
-    elements.
+    from seed down, by the moves of `_right_covers` written out in place
+    (a cover is one shorter, so duplicates arise only within a level).
+    Raises ValueError once the levels hold more than MAX_IDEAL_ELEMENTS.
     """
     places = range(1, len(seed))
     layer = {seed}
@@ -215,9 +203,7 @@ def ideal_polynomial(kind: str, w: Window) -> Poly:
     """
     rank_polynomial of the ideal of the given kind ("lower-left",
     "upper-left" or "lower-right") at w, counted from the levels of its
-    search alone: no element is mapped and no set of the whole ideal is
-    built, so at most two levels are alive at once.  The same element
-    limit applies.
+    search alone, with two levels alive at once and the same limit.
 
     >>> ideal_polynomial("lower-left", (-1, -2)).to_list()
     [1, 2, 2, 2, 1]
@@ -230,11 +216,8 @@ def ideal_polynomial(kind: str, w: Window) -> Poly:
 
 def reduced_word_count(w: Window) -> int:
     """
-    The number of reduced words for w: sequences (i_1, ..., i_l) of
-    generator indices with l = length(w) whose product is w.  A reduced
-    word read from its end is a path down from w through lower covers in
-    the right order (x -> x * s_i), so this counts those paths one length
-    at a time, holding only the current level.
+    The number of reduced words for w, as paths down from w through lower
+    covers in the right order (x -> x * s_i), counted one level at a time.
 
     >>> reduced_word_count((-1, -2))
     2

@@ -172,6 +172,16 @@ def test_ideal_over_element_budget_exits_two(capsys, monkeypatch):
         assert err == "error: ideal exceeds the element limit 10: 16 elements reached\n"
 
 
+def test_split_check_over_element_budget_exits_two(capsys, monkeypatch):
+    # R(u) or the right ideal below -u outgrows the bound: 1, 3, 5, 7 levels
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 10)
+    for window in ("1 2 3", "-1 -2 -3"):
+        code, out, err = run(capsys, "split-check", window)
+        assert code == 2
+        assert out == ""
+        assert err == "error: ideal exceeds the element limit 10: 16 elements reached\n"
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "quotient", "-1 2 3", "--format", "json")
     _, second, _ = run(capsys, "quotient", "-1 2 3", "--format", "json")

@@ -1,9 +1,11 @@
 """Generalized quotients, interval identity, splittings, transports."""
 
+import random
 from itertools import chain, combinations
 
 import pytest
 
+from bweyl import quotients, weak_order
 from bweyl.patterns import is_separable, parabolic_factor
 from bweyl.polynomials import from_counts, group_poincare
 from bweyl.quotients import (
@@ -12,6 +14,7 @@ from bweyl.quotients import (
     _lower_ideal_sizes,
     _splitting_report,
     _theorem_cases,
+    _walk_splits,
     quotient_interval_identity,
     generalized_quotient,
     is_splitting,
@@ -27,12 +30,13 @@ from bweyl.reports import SplittingReport
 from bweyl.signed_perm import (
     all_windows,
     compose,
+    group_order,
     identity,
     inverse,
     length,
     longest_element,
 )
-from bweyl.weak_order import interval_right, lower_ideal_left
+from bweyl.weak_order import _levels, interval_right, lower_ideal_left
 
 
 def subsets(ns):
@@ -183,6 +187,104 @@ def test_splitting_report_matches_length_scan():
                 q, j = (lower_ideal_left(f) for f in parabolic_factor(w, (n - 2, n - 1)))
                 args = (list(q), list(j), lower_ideal_left(w).elements, len(lower_ideal_left(w)))
                 assert _splitting_report(*args) == splitting_report_by_length(*args), w
+
+
+def test_walk_core_matches_literal_report_on_every_size_matched_pair():
+    # Every (X, Y) = (R(a)^-1, R(b)) with #X * #Y = #W, not only the
+    # theorem's pairs, walked with either factor as the tree: most of them
+    # fail, by a deficit or by a collision.
+    expected = {2: (10, 4), 3: (106, 84), 4: (1772, 1682)}
+    kinds = set()
+    for n, (pairs, failing) in expected.items():
+        order = group_order(n)
+        levels = {w: list(_levels(w)) for w in all_windows(n)}
+        sizes = {w: sum(map(len, ls)) for w, ls in levels.items()}
+        flat = {w: [v for level in ls for v in level] for w, ls in levels.items()}
+        seen = fails = 0
+        for a in levels:
+            for b in levels:
+                if sizes[a] * sizes[b] != order:
+                    continue
+                X, Y = [inverse(v) for v in flat[a]], flat[b]
+                report = _splitting_report(sorted(X), sorted(Y), None, order)
+                y_tree = _walk_splits(levels[b], X, order)
+                x_tree = _walk_splits(levels[a], [inverse(v) for v in Y], order)
+                assert y_tree == x_tree == report.is_splitting, (a, b)
+                seen += 1
+                fails += not report.is_splitting
+                kinds.add(report.failure_witness and report.failure_witness[0])
+        assert (seen, fails) == (pairs, failing), n
+    assert kinds == {None, "length-deficit", "collision"}
+
+
+def test_walk_core_checks_additivity_on_arbitrary_rows():
+    # When both factors are ideals, a bijective product map was additive in
+    # every case above; arbitrary first rows give products that are
+    # distinct but not additive, which only the ascent checks reject.
+    rng = random.Random(11)
+    distinct_not_additive = 0
+    for n in (2, 3):
+        order = group_order(n)
+        group = sorted(all_windows(n))
+        for b in group:
+            tree = list(_levels(b))
+            Y = [v for level in tree for v in level]
+            if order % len(Y):
+                continue
+            for _ in range(20):
+                X = rng.sample(group, order // len(Y))
+                report = _splitting_report(sorted(X), sorted(Y), None, order)
+                assert _walk_splits(tree, X, order) == report.is_splitting, (X, b)
+                bijective = len({compose(x, y) for x in X for y in Y}) == order
+                distinct_not_additive += bijective and not report.is_splitting
+    assert distinct_not_additive > 0
+
+
+def literal_split_check(u):
+    """The split check by its definition: both factors built, every pair composed."""
+    X, Y = quotient_of_interval(u), interval_right(u).elements
+    return _splitting_report(sorted(X), sorted(Y), None, group_order(len(u)))
+
+
+def test_split_check_report_matches_literal_on_every_window():
+    for n in (1, 2, 3, 4):
+        for u in all_windows(n):
+            assert splits_with_interval(u) == literal_split_check(u), u
+
+
+def test_split_check_never_falls_back_on_a_splitting_pair(monkeypatch):
+    # A broken walk would stay correct through the literal fallback, only
+    # slow: every separable u must be settled by the walk alone.
+    def refuse(*args):
+        raise AssertionError("literal fallback taken")
+
+    monkeypatch.setattr(quotients, "_splitting_report", refuse)
+    for n in (1, 2, 3, 4):
+        for u in all_windows(n):
+            if is_separable(u):
+                assert splits_with_interval(u).is_splitting, u
+
+
+def test_split_check_rejects_malformed_windows():
+    for bad in ((1, 1), (0, 2), (5, 7), (1, 3), ()):
+        with pytest.raises(ValueError, match="not a signed permutation window"):
+            splits_with_interval(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generalized_quotient({identity(3)}, 3),
+    lambda: parabolic_subgroup(3, (1,)),
+    lambda: minimal_coset_representatives(3, (1,)),
+    lambda: splitting_restriction({identity(3)}, {identity(3)}, (1,)),
+], ids=["generalized_quotient", "parabolic_subgroup", "minimal_coset_representatives",
+        "splitting_restriction"])
+def test_group_enumeration_budget(monkeypatch, call):
+    # B_3 has 48 elements: allowed at a bound of 48, refused below it
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 48)
+    call()
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 47)
+    with pytest.raises(ValueError, match="rank-3 group exceeds the element limit 47: 48 elements"):
+        call()
 
 
 def test_splitting_rank_mismatch_rejected():
