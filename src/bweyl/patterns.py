@@ -162,15 +162,6 @@ def is_separable(w: Sequence[int]) -> bool:
     return _separable(validate_window(w))
 
 
-def _cuts(n: int, removed: Iterable[int]) -> list[int]:
-    """The deleted generator indices, sorted, each checked to be in range."""
-    ps = sorted(set(removed))
-    for p in ps:
-        if not 0 <= p <= n - 1:
-            raise ValueError(f"generator index {p} out of range [0, {n - 1}]")
-    return ps
-
-
 def parabolic_factor(
     w: Window, removed: Iterable[int]
 ) -> tuple[Window, Window]:
@@ -185,7 +176,10 @@ def parabolic_factor(
     """
     w = validate_window(w)
     n = len(w)
-    ps = _cuts(n, removed)
+    ps = sorted(set(removed))
+    for p in ps:
+        if not 0 <= p <= n - 1:
+            raise ValueError(f"generator index {p} out of range [0, {n - 1}]")
     if not ps:
         return identity(n), w
 
@@ -203,19 +197,6 @@ def parabolic_factor(
         quotient[a:b] = sorted(block)
         subgroup[a:b] = [a + r for r in _st(block)]
     return tuple(quotient), tuple(subgroup)
-
-
-def parabolic_blocks(w: Window, removed: Iterable[int]) -> list[Window]:
-    """
-    The blocks of the subgroup factor of parabolic_factor(w, removed), each
-    shifted down to a small window, built without the quotient factor: the
-    block before the first cut is its signed standardization, every later
-    block its unsigned one.
-    """
-    w = validate_window(w)
-    bounds = [*_cuts(len(w), removed), len(w)]
-    first = [_sts(w[:bounds[0]])] if bounds[0] else []
-    return first + [_st(w[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 #: The definitional sweep meets 1,708 distinct blocks at rank 6.

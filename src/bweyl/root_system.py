@@ -5,14 +5,15 @@ coordinates, with the recursive pivot test for separability.
 The positive roots are e_i and -e_i + e_j, e_i + e_j (i < j); the simple
 roots are a_0 = e_1 and a_i = -e_i + e_{i+1}.  A set of positive roots is
 an int mask, bit k for the k-th root in the order of
-signed_perm.inversion_mask; a subsystem holds the ambient roots in the
-span of some simple roots, and restriction to it is an AND.  Both facts
-about simple roots used here are closed forms (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, ch. 1-4 and App. A1): v = sum c_k * a_k
-with c_k = sum(v[k:]), and the Dynkin diagram is the path
-a_0 - a_1 - ... - a_{n-1}.  The roots with c_p >= 1 form the support of
-a_p: a subsystem drops the supports of the simple roots it leaves out,
-and its roots dominance-above a_p are its mask AND that support.
+signed_perm.inversion_mask; a subsystem is the mask of the ambient roots
+in the span of some simple roots a_p with their places p on the path,
+and restriction to it is an AND.  Both facts about simple roots used
+here are closed forms (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+ch. 1-4 and App. A1): v = sum c_k * a_k with c_k = sum(v[k:]), and the
+Dynkin diagram is the path a_0 - a_1 - ... - a_{n-1}.  The roots with
+c_p >= 1 form the support of a_p: a subsystem drops the supports of the
+simple roots it leaves out, and its roots dominance-above a_p are its
+mask AND that support.
 """
 
 from __future__ import annotations
@@ -31,29 +32,30 @@ Root = tuple[int, ...]
 @dataclass(frozen=True)
 class RootSubsystem:
     """
-    A closed subsystem: the mask of its positive roots and its simple
-    roots, which must be some of a_0, ..., a_{n-1} in path order.
+    A closed subsystem: the mask of its positive roots and the increasing
+    places p of its simple roots a_p on the path a_0 - ... - a_{n-1}.
     """
 
     ambient_rank: int
-    simple_roots: tuple[Root, ...]
+    positions: tuple[int, ...]
     mask: int
 
     def __post_init__(self) -> None:
         n = self.ambient_rank
-        places = [alpha.index(1) if 1 in alpha else n for alpha in self.simple_roots]
-        if places != sorted(set(places)) or any(
-            p >= n or alpha != _simple_root(n, p)
-            for alpha, p in zip(self.simple_roots, places)
-        ):
-            raise ValueError(f"simple roots off the path a_0, ..., a_{{n-1}}: "
-                             f"{self.simple_roots!r}")
+        places = (-1, *self.positions, n)
+        if any(p >= q for p, q in zip(places, places[1:])):
+            raise ValueError(f"simple root positions not increasing in 0..{n - 1}: "
+                             f"{self.positions!r}")
         if not 0 <= self.mask < 1 << n * n:
             raise ValueError(f"root mask {self.mask:#x} has bits off the rank-{n} roots")
 
     @property
     def rank(self) -> int:
-        return len(self.simple_roots)
+        return len(self.positions)
+
+    @property
+    def simple_roots(self) -> tuple[Root, ...]:  # decoded from the positions
+        return tuple(_simple_root(self.ambient_rank, p) for p in self.positions)
 
     @property
     def positive_roots(self) -> frozenset[Root]:  # decoded from the mask
@@ -98,8 +100,7 @@ def full_system(n: int) -> RootSubsystem:
     """The full rank-n system: n^2 positive roots, simples (a_0, ..., a_{n-1})."""
     if n < 1:
         raise ValueError(f"rank must be a positive integer, got {n}")
-    simples = tuple(_simple_root(n, p) for p in range(n))
-    return RootSubsystem(n, simples, (1 << n * n) - 1)
+    return RootSubsystem(n, tuple(range(n)), (1 << n * n) - 1)
 
 
 def inversion_roots(w: Window) -> frozenset[Root]:
@@ -124,14 +125,6 @@ def _coefficients(root: Root) -> tuple[int, ...]:
     (0, 1, 0)
     """
     return tuple(accumulate(reversed(root)))[::-1]
-
-
-def _path_positions(sys: RootSubsystem) -> list[int]:
-    """
-    Where each simple root of sys sits on the path a_0 - ... - a_{n-1}:
-    a_0 = e_1 and a_i = -e_i + e_{i+1} carry their +1 at coordinate i.
-    """
-    return [alpha.index(1) for alpha in sys.simple_roots]
 
 
 def dominance_leq(alpha: Root, beta: Root, sys: RootSubsystem) -> bool:
@@ -160,11 +153,10 @@ def subsystem_spanned_by(sys: RootSubsystem, kept: Iterable[int]) -> RootSubsyst
     for k in kept_idx:
         if not 0 <= k < sys.rank:
             raise ValueError(f"simple root index {k} out of range")
-    simples = tuple(sys.simple_roots[k] for k in kept_idx)
+    positions = tuple(sys.positions[k] for k in kept_idx)
     support = _tables(sys.ambient_rank)[1]
-    dropped = reduce(or_, (support[p] for k, p in enumerate(_path_positions(sys))
-                           if k not in kept_idx), 0)
-    return RootSubsystem(sys.ambient_rank, simples, sys.mask & ~dropped)
+    dropped = reduce(or_, (support[p] for p in sys.positions if p not in positions), 0)
+    return RootSubsystem(sys.ambient_rank, positions, sys.mask & ~dropped)
 
 
 def components(sys: RootSubsystem) -> list[RootSubsystem]:
@@ -175,7 +167,7 @@ def components(sys: RootSubsystem) -> list[RootSubsystem]:
     are the maximal runs of consecutive path positions.  A single
     component means sys is irreducible.
     """
-    positions = _path_positions(sys)
+    positions = sys.positions
     runs: list[list[int]] = []
     for k, p in enumerate(positions):
         if k and positions[k - 1] == p - 1:
@@ -202,7 +194,7 @@ def is_separable_recursive(I: int, sys: RootSubsystem) -> bool:
     if len(comps) > 1:
         return all(is_separable_recursive(I & comp.mask, comp) for comp in comps)
     support = _tables(sys.ambient_rank)[1]
-    for idx, p in enumerate(_path_positions(sys)):
+    for idx, p in enumerate(sys.positions):
         upper = sys.mask & support[p]
         if not upper & ~I or not upper & I:
             rest = subsystem_spanned_by(sys, [k for k in range(sys.rank) if k != idx])

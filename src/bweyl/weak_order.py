@@ -97,6 +97,14 @@ def _right_covers(v: Window) -> list[Window]:
     return out
 
 
+def _check_limit(total: int) -> None:
+    """Raise ValueError once a search has reached more than MAX_IDEAL_ELEMENTS elements."""
+    if total > MAX_IDEAL_ELEMENTS:
+        raise ValueError(
+            f"ideal exceeds the element limit {MAX_IDEAL_ELEMENTS}: {total} elements reached"
+        )
+
+
 def _levels(seed: Window) -> Iterator[set[Window]]:
     """
     Everything below seed in the right order, one length level at a time
@@ -109,11 +117,7 @@ def _levels(seed: Window) -> Iterator[set[Window]]:
     total = 0
     while layer:
         total += len(layer)
-        if total > MAX_IDEAL_ELEMENTS:
-            raise ValueError(
-                f"ideal exceeds the element limit {MAX_IDEAL_ELEMENTS}: "
-                f"{total} elements reached"
-            )
+        _check_limit(total)
         yield layer
         below = {v[:i - 1] + (v[i], v[i - 1]) + v[i + 1:]
                  for v in layer for i in places if v[i - 1] > v[i]}
@@ -218,18 +222,22 @@ def reduced_word_count(w: Window) -> int:
     """
     The number of reduced words for w, as paths down from w through lower
     covers in the right order (x -> x * s_i), counted one level at a time.
+    The levels are those of interval_right(w), under the same limit.
 
     >>> reduced_word_count((-1, -2))
     2
     """
     w = validate_window(w)
     level = {w: 1}
+    total = 1
     for _ in range(length(w)):
         below: dict[Window, int] = {}
         for x, paths in level.items():
             for y in _right_covers(x):
                 below[y] = below.get(y, 0) + paths
         level = below
+        total += len(level)
+        _check_limit(total)
     return level[identity(len(w))]
 
 

@@ -172,6 +172,18 @@ def test_ideal_over_element_budget_exits_two(capsys, monkeypatch):
         assert err == "error: ideal exceeds the element limit 10: 16 elements reached\n"
 
 
+def test_reduced_words_over_element_budget_exits_two(capsys, monkeypatch):
+    # used to walk every element below w: 10,321,920 for the rank-8 w0
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 10)
+    code, out, err = run(capsys, "reduced-words", "-1 -2 -3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: ideal exceeds the element limit 10: 16 elements reached\n"
+    code, out, _ = run(capsys, "reduced-words", "1 -3 2")
+    assert code == 0
+    assert out.endswith("count: 1\n")
+
+
 def test_split_check_over_element_budget_exits_two(capsys, monkeypatch):
     # R(u) or the right ideal below -u outgrows the bound: 1, 3, 5, 7 levels
     monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 10)

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import random
 from itertools import combinations, product
 
 import bweyl
@@ -13,7 +14,6 @@ from bweyl.catalog import B2_SEPARABLE
 from bweyl.root_system import (
     RootSubsystem,
     _coefficients,
-    _path_positions,
     _tables,
     components,
     dominance_leq,
@@ -36,6 +36,7 @@ from bweyl.signed_perm import (
 def test_full_system_shape():
     sys2 = full_system(2)
     assert sys2.positive_roots == frozenset({(1, 0), (0, 1), (-1, 1), (1, 1)})
+    assert sys2.positions == (0, 1)
     assert sys2.simple_roots == ((1, 0), (-1, 1))
     assert len(full_system(4).positive_roots) == 16
     assert full_system(1).positive_roots == frozenset({(1,)})
@@ -43,18 +44,19 @@ def test_full_system_shape():
         full_system(0)
 
 
-def test_subsystem_simple_roots_must_sit_on_the_path():
-    assert RootSubsystem(3, ((1, 0, 0), (0, -1, 1)), 0).rank == 2
-    for n, simples in (
-        (2, ((0, 1), (1, -1))),  # independent, but not a_0, a_1
-        (2, ((-1, 1), (1, 0))),  # out of path order
-        (2, ((1, 0), (1, 0))),
-        (2, ((1, 1),)),
-        (2, ((0, 0, 1),)),
-        (1, ((0,),)),
+def test_subsystem_positions_must_increase_inside_the_path():
+    sub = RootSubsystem(3, (0, 2), 0)
+    assert sub.rank == 2
+    assert sub.simple_roots == ((1, 0, 0), (0, -1, 1))  # a_0 and a_2
+    for n, positions in (
+        (2, (1, 0)),  # out of path order
+        (2, (0, 0)),  # repeated
+        (2, (2,)),  # past a_{n-1}
+        (2, (-1,)),
+        (1, (0, 1)),
     ):
-        with pytest.raises(ValueError):
-            RootSubsystem(n, simples, 0)
+        with pytest.raises(ValueError, match="not increasing in 0.."):
+            RootSubsystem(n, positions, 0)
 
 
 def test_inversion_roots_named_values():
@@ -202,6 +204,26 @@ def test_recursive_oracle_matches_pattern_test_small_ranks():
             ), w
 
 
+def _random_window(rng, n):
+    return tuple(x if rng.random() < 0.5 else -x for x in rng.sample(range(1, n + 1), n))
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_recursive_oracle_matches_pattern_test_past_exhaustive_ranks(n):
+    # uniform windows are rarely separable here (about 1.3%, 0.4% and 0.1%
+    # at ranks 7, 8, 9), so the separable ones are drawn by rejection
+    rng = random.Random(7000 + n)
+    uniform = [_random_window(rng, n) for _ in range(200)]
+    separable = []
+    while len(separable) < 50:
+        w = _random_window(rng, n)
+        if is_separable(w):
+            separable.append(w)
+    sys = full_system(n)
+    for w in uniform + separable:
+        assert is_separable_recursive(inversion_mask(w), sys) == is_separable(w), w
+
+
 # ------------------------------------------- closed form against the definitions
 
 
@@ -305,6 +327,6 @@ def test_support_masks_are_the_dominance_upper_sets():
         sys = full_system(n)
         for kept in subsets(n):
             sub = subsystem_spanned_by(sys, kept)
-            for alpha, p in zip(sub.simple_roots, _path_positions(sub)):
+            for alpha, p in zip(sub.simple_roots, sub.positions):
                 above = {b for b in sub.positive_roots if dominance_leq(alpha, b, sub)}
                 assert RootSubsystem(n, (), sub.mask & support[p]).positive_roots == above

@@ -9,7 +9,7 @@ from math import factorial, prod
 import pytest
 
 from bweyl import weak_order
-from bweyl.patterns import parabolic_blocks, parabolic_factor
+from bweyl.patterns import parabolic_factor
 from bweyl.polynomials import Poly, from_counts
 from bweyl.quotients import (
     is_splitting,
@@ -319,6 +319,20 @@ def test_ideal_element_budget(monkeypatch):
     assert len(upper_ideal_left(longest_element(3))) == 1
 
 
+def test_reduced_word_count_element_budget(monkeypatch):
+    # the count walks the levels of interval_right(w): 1, 3, 5, 7, ... for w0
+    w0 = longest_element(3)
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 48)
+    assert reduced_word_count(w0) == 42
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 47)
+    with pytest.raises(ValueError, match="element limit 47: 48 elements reached"):
+        reduced_word_count(w0)
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 10)
+    with pytest.raises(ValueError, match="element limit 10: 16 elements reached"):
+        reduced_word_count(w0)
+    assert reduced_word_count((1, -3, 2)) == 1  # 1, 1, 1, 1, 1 elements
+
+
 def test_rank_polynomial_reversal_under_inverse_translation():
     # x -> x * u^-1 maps the ideal below u onto the ideal below u^-1,
     # reversing ranks
@@ -433,14 +447,13 @@ def test_product_word_rejects_out_of_range_generators():
     (lambda: splitting_transport([(1, 2), (1, 1)], [(1, 2)]), "(1, 1)"),
     (lambda: splitting_restriction([(1, 2)], [(3, 1)], ()), "(3, 1)"),
     (lambda: quotient_of_interval((1, 1)), "(1, 1)"),
-    (lambda: parabolic_blocks((5, 7), ()), "(5, 7)"),
     (lambda: inversion_roots((1, 1)), "(1, 1)"),
     (lambda: validate_window((True, 2)), "(True, 2)"),
     (lambda: ideal_polynomial("lower-left", (1, 1)), "(1, 1)"),
 ], ids=["left_leq", "right_leq", "lower_covers_left", "reduced_word_count",
         "iter_reduced_words", "parabolic_factor", "is_splitting", "splitting_transport",
-        "splitting_restriction", "quotient_of_interval", "parabolic_blocks",
-        "inversion_roots", "bool_entry", "ideal_polynomial"])
+        "splitting_restriction", "quotient_of_interval", "inversion_roots", "bool_entry",
+        "ideal_polynomial"])
 def test_public_window_arguments_are_validated(call, bad):
     # each used to answer silently (or raise KeyError), some naming a
     # window derived from the input rather than the input
