@@ -5,6 +5,11 @@ a counterexample or a split-check fails, 2 for usage errors and input
 the library rejects with ValueError (a malformed window, an ideal over
 its element limit), and 141 (128 + SIGPIPE, quietly) when the reader of
 stdout goes away (`bweyl ... | head -1`).
+
+`main` is the one dispatch path: it builds the parser once per process
+(at its first call, through `build_parser`), parses a window argument
+before any verb runs, so every verb that takes one refuses a malformed
+window, and prints the payload the verb returns with its status.
 """
 
 from __future__ import annotations
@@ -41,21 +46,17 @@ MAX_ELEMENT_RANK = 8
 MAX_LISTED_WORDS = 100_000
 
 
-class UsageError(Exception):
-    pass
-
-
 def _window_arg(text: str):
     w = parse_window(text)
     if len(w) > MAX_ELEMENT_RANK:
-        raise UsageError(f"rank {len(w)} exceeds the element limit {MAX_ELEMENT_RANK}")
+        raise ValueError(f"rank {len(w)} exceeds the element limit {MAX_ELEMENT_RANK}")
     return w
 
 
 def _require_n(check: str, n: int) -> None:
     lo, hi = RANKS[check]
     if not lo <= n <= hi:
-        raise UsageError(f"--n must be in {lo}..{hi}")
+        raise ValueError(f"--n must be in {lo}..{hi}")
 
 
 def _plain(value) -> str:
@@ -102,94 +103,78 @@ def _windows_payload(ws) -> list[str]:
     return [format_window(w) for w in sort_windows(ws)]
 
 
-def _cmd_separable(args) -> int:
-    w = _window_arg(args.window)
-    _emit({"window": format_window(w), "separable": is_separable(w)}, args.format)
-    return 0
+def _cmd_separable(args) -> tuple[dict, int]:
+    w = args.window
+    return {"window": format_window(w), "separable": is_separable(w)}, 0
 
 
-def _cmd_minimal_nonsep(args) -> int:
+def _cmd_minimal_nonsep(args) -> tuple[dict, int]:
     if args.list:
         if args.n is None:
-            raise UsageError("--list needs --n")
+            raise ValueError("--list needs --n")
         _require_n("minimality-equivalence", args.n)  # same universe, same test
         hits = [w for w in all_windows(args.n) if _minimal(w)]
-        _emit({"n": args.n, "count": len(hits), "windows": _windows_payload(hits)},
-              args.format)
-        return 0
-    if args.window is None:
-        raise UsageError("pass a window or --list --n K")
-    w = _window_arg(args.window)
+        return {"n": args.n, "count": len(hits), "windows": _windows_payload(hits)}, 0
+    w = args.window
+    if w is None:
+        raise ValueError("pass a window or --list --n K")
     minimal = is_minimal_nonseparable_fast(w)
     payload = {"window": format_window(w), "minimal_nonseparable": minimal}
     if minimal:
         payload["inverse_also_minimal"] = inverse_minimality_criterion(w)
-    _emit(payload, args.format)
-    return 0
+    return payload, 0
 
 
-def _cmd_ideal_poly(args) -> int:
-    w = _window_arg(args.window)
+def _cmd_ideal_poly(args) -> tuple[dict, int]:
+    w = args.window
     poly = ideal_polynomial("lower-right" if args.right else "lower-left", w)
-    _emit(
-        {
-            "window": format_window(w),
-            "order": "right" if args.right else "left",
-            "size": poly(1),
-            "polynomial": str(poly),
-            "coefficients": poly.to_list(),
-            "symmetric": poly.is_symmetric(),
-            "unimodal": poly.is_unimodal(),
-        },
-        args.format,
-    )
-    return 0
+    return {
+        "window": format_window(w),
+        "order": "right" if args.right else "left",
+        "size": poly(1),
+        "polynomial": str(poly),
+        "coefficients": poly.to_list(),
+        "symmetric": poly.is_symmetric(),
+        "unimodal": poly.is_unimodal(),
+    }, 0
 
 
-def _cmd_quotient(args) -> int:
-    u = _window_arg(args.window)
+def _cmd_quotient(args) -> tuple[dict, int]:
+    u = args.window
     X = quotient_of_interval(u)
-    _emit(
-        {"window": format_window(u), "size": len(X), "windows": _windows_payload(X)},
-        args.format,
-    )
-    return 0
+    return {"window": format_window(u), "size": len(X), "windows": _windows_payload(X)}, 0
 
 
-def _cmd_split_check(args) -> int:
-    u = _window_arg(args.window)
+def _cmd_split_check(args) -> tuple[dict, int]:
+    u = args.window
     report = splits_with_interval(u)
-    payload = {"window": format_window(u), **report.to_json()}
-    _emit(payload, args.format)
-    return 0 if report.is_splitting else 1
+    return {"window": format_window(u), **report.to_json()}, 0 if report.is_splitting else 1
 
 
-def _cmd_reduced_words(args) -> int:
-    w = _window_arg(args.window)
+def _cmd_reduced_words(args) -> tuple[dict, int]:
+    w = args.window
     count = reduced_word_count(w)
     if args.list and count > MAX_LISTED_WORDS:
-        raise UsageError(f"{count} reduced words exceed the list limit {MAX_LISTED_WORDS}")
+        raise ValueError(f"{count} reduced words exceed the list limit {MAX_LISTED_WORDS}")
     payload = {"window": format_window(w), "length": length(w), "count": count}
     if args.list:
         payload["words"] = [
             " ".join(str(i) for i in word) for word in iter_reduced_words(w)
         ]
-    _emit(payload, args.format)
-    return 0
+    return payload, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     runner = theorems.CHECKS.get(args.check)
     if runner is None:
         known = ", ".join(sorted(theorems.CHECKS))
-        raise UsageError(f"unknown check {args.check!r}; known: {known}")
+        raise ValueError(f"unknown check {args.check!r}; known: {known}")
     _require_n(args.check, args.n)
     report = runner(args.n)
-    _emit(report.to_json(), args.format)
-    return 0 if report.passed else 1
+    return report.to_json(), 0 if report.passed else 1
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args) -> tuple[dict, int]:
     if args.name == "b2-separable":
         data = CATALOGS["b2-separable"]
         payload = {
@@ -205,22 +190,17 @@ def _cmd_examples(args) -> int:
         for name in sorted(fibers):
             payload[name] = _windows_payload(fibers[name])
     else:
-        raise UsageError(f"unknown catalog {args.name!r}")
-    _emit(payload, args.format)
-    return 0
+        raise ValueError(f"unknown catalog {args.name!r}")
+    return payload, 0
 
 
-def _cmd_pattern_set(args) -> int:
+def _cmd_pattern_set(args) -> tuple[dict, int]:
     ps = PATTERN_SETS.get(args.name)
     if ps is None:
-        raise UsageError(
+        raise ValueError(
             f"unknown pattern set {args.name!r}; known: {', '.join(sorted(PATTERN_SETS))}"
         )
-    _emit(
-        {"name": ps.name, "patterns": [format_window(p) for p in ps.members]},
-        args.format,
-    )
-    return 0
+    return {"name": ps.name, "patterns": [format_window(p) for p in ps.members]}, 0
 
 
 def _add_format(sub) -> None:
@@ -299,11 +279,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built at the first main call
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        status = args.func(args)
+        if getattr(args, "window", None) is not None:
+            args.window = _window_arg(args.window)
+        payload, status = args.func(args)
+        _emit(payload, args.format)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status
     except BrokenPipeError:
@@ -311,7 +299,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # is still buffered does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (UsageError, ValueError) as exc:  # the library rejects bad input by ValueError
+    except ValueError as exc:  # usage errors and input the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,15 +53,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
-
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:

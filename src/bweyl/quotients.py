@@ -33,8 +33,8 @@ from .signed_perm import (
     inverse,
     inversion_mask,
     left_mul_simple,
-    length,
     longest_element,
+    sort_windows,
     validate_window,
 )
 from . import weak_order
@@ -284,19 +284,17 @@ class _GroupTables:
     """
 
     def __init__(self, n: int) -> None:
-        keyed = sorted((length(w), w) for w in all_windows(n))
-        self.windows = [w for _, w in keyed]
+        self.windows = sort_windows(all_windows(n))
         self.index = {w: k for k, w in enumerate(self.windows)}
         self.order = len(self.windows)
-        lengths = [l for l, _ in keyed]
         sentinel = self.order
         self.down, self.up = [], []
         for i in range(n):
+            # A cover is one length away, so in length order it is shorter
+            # exactly when its index is smaller.
             images = [self.index[left_mul_simple(i, w)] for w in self.windows]
-            down = array("i", [j if lengths[j] < l else sentinel
-                               for j, l in zip(images, lengths)])
-            up = array("i", [sentinel if lengths[j] < l else j
-                             for j, l in zip(images, lengths)])
+            down = array("i", [j if j < k else sentinel for k, j in enumerate(images)])
+            up = array("i", [j if j > k else sentinel for k, j in enumerate(images)])
             down.append(sentinel)
             up.append(sentinel)
             self.down.append(down)

@@ -150,10 +150,18 @@ def test_pattern_set_listing(capsys):
 
 
 def test_window_parse_errors_exit_two(capsys):
-    for bad in ("1 1", "0 2", "not numbers", "1 3"):
-        code, _, err = run(capsys, "separable", bad)
-        assert code == 2
-        assert err.startswith("error:")
+    # every verb that takes a window refuses a malformed one, nothing on
+    # stdout; `minimal-nonsep "1 1" --list --n 3` used to list and ignore it
+    verbs = (
+        ["separable"], ["minimal-nonsep"], ["minimal-nonsep", "--list", "--n", "3"],
+        ["ideal-poly", "--left"], ["ideal-poly", "--right"], ["quotient"],
+        ["split-check"], ["reduced-words"], ["reduced-words", "--list"],
+    )
+    for verb in verbs:
+        for bad in ("1 1", "0 2", "not numbers", "1 3"):
+            code, out, err = run(capsys, *verb, bad)
+            assert (code, out) == (2, ""), (verb, bad)
+            assert err.startswith("error:")
 
 
 def test_element_rank_guard(capsys):
@@ -221,3 +229,79 @@ def test_closed_stdout_pipe_ends_quietly():
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 141
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert run(capsys, "separable", "1 2")[0] == 0
+    assert run(capsys, "pattern-set", "sep-forbidden-6")[0] == 0
+    assert run(capsys, "verify", "theorem", "--n", "2")[0] == 0
+    assert run(capsys, "separable", "1 1")[0] == 2
+    assert built == [1]
+
+
+def test_main_uses_the_build_parser_in_place_at_its_first_call(monkeypatch, capsys):
+    # a wrapper installed after import (as a tracer does) sees every parse
+    parser = cli.build_parser()
+    parsed = []
+    parse_args = parser.parse_args
+
+    def recording(argv=None):
+        parsed.append(argv)
+        return parse_args(argv)
+
+    parser.parse_args = recording
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    run(capsys, "separable", "1 2")
+    run(capsys, "quotient", "-1 2")
+    assert parsed == [["separable", "1 2"], ["quotient", "-1 2"]]
+
+
+def test_bench_tracer_wraps_every_verb():
+    # The benchmark's tracer replaces cli.build_parser after import and
+    # patches parse_args on the parser it returns; parsing must be timed.
+    root = Path(__file__).resolve().parents[1]
+    script = """
+import contextlib, io, json, sys
+import bweyl.cli as cli
+import tracing
+
+tracer = tracing.Tracer()
+try:
+    tracing.install(tracer)
+except AttributeError as exc:
+    print(json.dumps({"install": repr(exc)}))
+    sys.exit()
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(tracer.op(argv[0], cli.main, argv + ["--format", "json"]))
+print(json.dumps({"install": None, "codes": codes,
+                  "parse_s": tracer.metrics()["cli.parse_s"]}))
+"""
+    ops = [
+        ["separable", "-2 3 4 5 1"], ["minimal-nonsep", "-2 3 4 5 1"],
+        ["ideal-poly", "--right", "-1 2"], ["quotient", "-1 2"], ["split-check", "-2 1"],
+        ["reduced-words", "1 -3 2"], ["verify", "theorem", "--n", "3"],
+        ["examples", "b2-separable"], ["pattern-set", "sep-forbidden-6"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(ops)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["install"] is None
+    assert result["codes"] == [0, 0, 0, 0, 1, 0, 0, 0, 0]
+    assert result["parse_s"] > 0

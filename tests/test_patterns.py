@@ -261,6 +261,26 @@ def test_minimality_fast_equals_definitional_small_ranks():
             ), w
 
 
+@given(signed_windows(7, 9))
+def test_minimality_core_matches_definition_at_larger_ranks(w):
+    assert _minimal(w) == _minimal_definitional(w)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_minimal_windows_past_exhaustive_ranks_meet_the_definition(n):
+    # uniform windows are rarely minimal non-separable here (50 hits take
+    # about 3,200, 7,300 and 29,000 draws at ranks 7, 8, 9), so they are
+    # drawn by rejection
+    rng = random.Random(9100 + n)
+    minimal = []
+    while len(minimal) < 50:
+        w = tuple(x if rng.random() < 0.5 else -x for x in rng.sample(range(1, n + 1), n))
+        if _minimal(w):
+            minimal.append(w)
+    for w in minimal:
+        assert _minimal_definitional(w), w
+
+
 def _minimal_by_subgroup_factor(w):
     """
     The definition with nothing cached: non-separable, and for each

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from bweyl.signed_perm import (
     all_windows,
@@ -151,6 +153,28 @@ def test_compose_associative_on_sampled_triples():
         assert compose(compose(u, v), w) == compose(u, compose(v, w))
 
 
+@hs.composite
+def window_triples(draw, lo, hi):
+    """Three signed windows of one rank drawn from lo..hi."""
+    n = draw(hs.integers(lo, hi))
+    return tuple(
+        tuple(-x if neg else x for x, neg in zip(
+            draw(hs.permutations(range(1, n + 1))),
+            draw(hs.lists(hs.booleans(), min_size=n, max_size=n)),
+        ))
+        for _ in range(3)
+    )
+
+
+@given(window_triples(7, 9))
+def test_group_axioms_at_larger_ranks(triple):
+    u, v, w = triple
+    e = identity(len(w))
+    assert compose(compose(u, v), w) == compose(u, compose(v, w))
+    assert compose(w, inverse(w)) == compose(inverse(w), w) == e
+    assert compose(e, w) == compose(w, e) == w
+
+
 # ---------------------------------------------------------------- statistics
 
 
@@ -176,6 +200,12 @@ def test_length_formulas_agree_exhaustively():
         for w in all_windows(n):
             neg, inv, nsp = statistic_sets(w)
             assert length(w) == len(neg) + len(inv) + len(nsp)
+
+
+@given(window_triples(7, 9))
+def test_length_is_inversion_mask_popcount_at_larger_ranks(triple):
+    for w in triple:
+        assert length(w) == inversion_mask(w).bit_count()
 
 
 def positive_roots_in_bit_order(n):
