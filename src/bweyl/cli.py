@@ -109,6 +109,8 @@ def _cmd_separable(args) -> tuple[dict, int]:
 
 
 def _cmd_minimal_nonsep(args) -> tuple[dict, int]:
+    if args.list and args.window is not None:
+        raise ValueError("pass a window or --list --n K, not both")
     if args.list:
         if args.n is None:
             raise ValueError("--list needs --n")

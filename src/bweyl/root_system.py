@@ -5,22 +5,22 @@ coordinates, with the recursive pivot test for separability.
 The positive roots are e_i and -e_i + e_j, e_i + e_j (i < j); the simple
 roots are a_0 = e_1 and a_i = -e_i + e_{i+1}.  A set of positive roots is
 an int mask, bit k for the k-th root in the order of
-signed_perm.inversion_mask; a subsystem is the mask of the ambient roots
-in the span of some simple roots a_p with their places p on the path,
-and restriction to it is an AND.  Both facts about simple roots used
-here are closed forms (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-ch. 1-4 and App. A1): v = sum c_k * a_k with c_k = sum(v[k:]), and the
-Dynkin diagram is the path a_0 - a_1 - ... - a_{n-1}.  The roots with
-c_p >= 1 form the support of a_p: a subsystem drops the supports of the
-simple roots it leaves out, and its roots dominance-above a_p are its
-mask AND that support.
+signed_perm.inversion_mask, and restriction to a subsystem is an AND.
+Both facts about simple roots used here are closed forms (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, ch. 1-4 and App. A1): v = sum c_k * a_k
+with c_k = sum(v[k:]), and the Dynkin diagram is the path
+a_0 - a_1 - ... - a_{n-1}.  The roots with c_p >= 1 form the support of
+a_p.  A subsystem is given by the places p of its simple roots on the
+path alone: its mask is every root minus the supports of the places it
+leaves out, and its roots dominance-above a_p are its mask AND that
+support.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, groupby
 from operator import or_
 from typing import Iterable
 
@@ -32,13 +32,15 @@ Root = tuple[int, ...]
 @dataclass(frozen=True)
 class RootSubsystem:
     """
-    A closed subsystem: the mask of its positive roots and the increasing
-    places p of its simple roots a_p on the path a_0 - ... - a_{n-1}.
+    A closed subsystem, given by the increasing places p of its simple
+    roots a_p on the path a_0 - ... - a_{n-1}.  The mask of its positive
+    roots follows from them: every rank-n root minus the supports of the
+    places left out.
     """
 
     ambient_rank: int
     positions: tuple[int, ...]
-    mask: int
+    mask: int = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.ambient_rank
@@ -46,8 +48,7 @@ class RootSubsystem:
         if any(p >= q for p, q in zip(places, places[1:])):
             raise ValueError(f"simple root positions not increasing in 0..{n - 1}: "
                              f"{self.positions!r}")
-        if not 0 <= self.mask < 1 << n * n:
-            raise ValueError(f"root mask {self.mask:#x} has bits off the rank-{n} roots")
+        object.__setattr__(self, "mask", _span(n, set(range(n)) - set(self.positions)))
 
     @property
     def rank(self) -> int:
@@ -90,6 +91,12 @@ def _tables(n: int) -> tuple[tuple[Root, ...], tuple[int, ...]]:
     )
 
 
+def _span(n: int, dropped: Iterable[int]) -> int:
+    """The mask of the rank-n roots with no coefficient on a dropped place."""
+    support = _tables(n)[1]
+    return (1 << n * n) - 1 & ~reduce(or_, (support[p] for p in dropped), 0)
+
+
 def _decode(n: int, mask: int) -> frozenset[Root]:
     """The rank-n positive roots whose bits are set in mask."""
     return frozenset(root for k, root in enumerate(_tables(n)[0]) if mask >> k & 1)
@@ -100,7 +107,7 @@ def full_system(n: int) -> RootSubsystem:
     """The full rank-n system: n^2 positive roots, simples (a_0, ..., a_{n-1})."""
     if n < 1:
         raise ValueError(f"rank must be a positive integer, got {n}")
-    return RootSubsystem(n, tuple(range(n)), (1 << n * n) - 1)
+    return RootSubsystem(n, tuple(range(n)))
 
 
 def inversion_roots(w: Window) -> frozenset[Root]:
@@ -145,18 +152,13 @@ def subsystem_spanned_by(sys: RootSubsystem, kept: Iterable[int]) -> RootSubsyst
     """
     The subsystem spanned by the simple roots of sys at the kept indices:
     those positive roots of sys whose nonzero coefficients all fall on the
-    kept simple roots.  A root of sys has no coefficient off the simple
-    roots of sys, so only the dropped ones need a look: their supports
-    are OR'd (they overlap) and taken out of the mask.
+    kept simple roots.
     """
     kept_idx = sorted(set(kept))
     for k in kept_idx:
         if not 0 <= k < sys.rank:
             raise ValueError(f"simple root index {k} out of range")
-    positions = tuple(sys.positions[k] for k in kept_idx)
-    support = _tables(sys.ambient_rank)[1]
-    dropped = reduce(or_, (support[p] for p in sys.positions if p not in positions), 0)
-    return RootSubsystem(sys.ambient_rank, positions, sys.mask & ~dropped)
+    return RootSubsystem(sys.ambient_rank, tuple(sys.positions[k] for k in kept_idx))
 
 
 def components(sys: RootSubsystem) -> list[RootSubsystem]:
@@ -164,40 +166,37 @@ def components(sys: RootSubsystem) -> list[RootSubsystem]:
     Split sys into its irreducible components, each carrying the positive
     roots in its span.  Two simple roots are non-orthogonal exactly when
     they are neighbours on the path a_0 - ... - a_{n-1}, so the components
-    are the maximal runs of consecutive path positions.  A single
-    component means sys is irreducible.
+    are the maximal runs of consecutive path positions (those along which
+    place minus index stays the same).  A single component means sys is
+    irreducible.
     """
-    positions = sys.positions
-    runs: list[list[int]] = []
-    for k, p in enumerate(positions):
-        if k and positions[k - 1] == p - 1:
-            runs[-1].append(k)
-        else:
-            runs.append([k])
-    return [subsystem_spanned_by(sys, run) for run in runs]
+    runs = groupby(range(sys.rank), key=lambda k: sys.positions[k] - k)
+    return [subsystem_spanned_by(sys, run) for _, run in runs]
 
 
 def is_separable_recursive(I: int, sys: RootSubsystem) -> bool:
     """
     The recursive pivot test for separability of an inversion set I (a
-    root mask, e.g. inversion_mask(w)) inside sys: rank 1 is separable; a
-    reducible system is separable iff each component is, with I restricted
-    by AND; an irreducible system needs some simple root whose dominance
-    upper set lies wholly inside I or misses it, with the rest of the
-    system recursively separable.
+    root mask, e.g. inversion_mask(w)) inside sys.  A reducible system is
+    separable iff each component is, and each component is a run
+    a_lo - ... - a_hi of the path.  A run of rank at most 1 is separable;
+    a longer run needs some pivot a_p whose dominance upper set (the run's
+    mask AND the support of a_p) lies wholly inside I or misses it, with
+    the two runs left on either side of p separable in turn.
     """
     if I & ~sys.mask:
         raise ValueError(f"inversion set {I:#x} leaves the subsystem {sys.mask:#x}")
-    if sys.rank <= 1:
-        return True
-    comps = components(sys)
-    if len(comps) > 1:
-        return all(is_separable_recursive(I & comp.mask, comp) for comp in comps)
-    support = _tables(sys.ambient_rank)[1]
-    for idx, p in enumerate(sys.positions):
-        upper = sys.mask & support[p]
-        if not upper & ~I or not upper & I:
-            rest = subsystem_spanned_by(sys, [k for k in range(sys.rank) if k != idx])
-            if is_separable_recursive(I & rest.mask, rest):
+    n = sys.ambient_rank
+    support = _tables(n)[1]
+
+    def run(lo: int, hi: int) -> bool:
+        if hi <= lo:
+            return True
+        span = _span(n, [*range(lo), *range(hi + 1, n)])
+        for p in range(lo, hi + 1):
+            upper = span & support[p]
+            if (not upper & ~I or not upper & I) and run(lo, p - 1) and run(p + 1, hi):
                 return True
-    return False
+        return False
+
+    return all(run(comp.positions[0], comp.positions[-1]) for comp in components(sys))

@@ -191,24 +191,15 @@ def left_mul_simple(i: int, w: Window) -> Window:
 
 def left_descents(w: Window) -> list[int]:
     """
-    Indices i with length(s_i * w) = length(w) - 1.  s_0 descends iff the
-    value 1 occurs negated; s_i descends iff the signed place of i exceeds
-    the signed place of i+1.
+    Indices i with length(s_i * w) = length(w) - 1: the right descents of
+    v = inverse(w), which holds the signed place of each value.  s_i
+    descends iff v_i > v_{i+1}, with v_0 = 0 (so s_0 iff v_1 < 0).
 
     >>> left_descents((-1, -2))
     [0, 1]
     """
-    n = len(w)
-    place = [0] * (n + 1)
-    for pos, x in enumerate(w, start=1):
-        place[abs(x)] = pos if x > 0 else -pos
-    out = []
-    if place[1] < 0:
-        out.append(0)
-    for i in range(1, n):
-        if place[i] > place[i + 1]:
-            out.append(i)
-    return out
+    v = inverse(w)
+    return [i for i in range(len(v)) if (v[i - 1] if i else 0) > v[i]]
 
 
 def statistic_sets(w: Window) -> StatisticSets:

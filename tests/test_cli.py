@@ -126,6 +126,13 @@ def test_minimal_nonsep_listing(capsys):
     assert code == 2 and "--n" in err
 
 
+def test_minimal_nonsep_window_and_listing_exclude_each_other(capsys):
+    # the listing used to print and the window was silently dropped
+    code, out, err = run(capsys, "minimal-nonsep", "-2 3 4 5 1", "--list", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: pass a window or --list --n K, not both\n"
+
+
 def test_examples_catalogs(capsys):
     code, out, _ = run(capsys, "examples", "b2-separable", "--format", "json")
     assert code == 0

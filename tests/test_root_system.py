@@ -1,9 +1,11 @@
 """Root coordinates, dominance, subsystems, and the recursive pivot test."""
 
+import ast
 import importlib
 import pkgutil
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import bweyl
 import pytest
@@ -14,6 +16,7 @@ from bweyl.catalog import B2_SEPARABLE
 from bweyl.root_system import (
     RootSubsystem,
     _coefficients,
+    _decode,
     _tables,
     components,
     dominance_leq,
@@ -22,7 +25,7 @@ from bweyl.root_system import (
     is_separable_recursive,
     subsystem_spanned_by,
 )
-from bweyl.patterns import is_separable
+from bweyl.patterns import _separable, is_separable, parabolic_factor
 from bweyl.signed_perm import (
     all_windows,
     identity,
@@ -45,7 +48,7 @@ def test_full_system_shape():
 
 
 def test_subsystem_positions_must_increase_inside_the_path():
-    sub = RootSubsystem(3, (0, 2), 0)
+    sub = RootSubsystem(3, (0, 2))
     assert sub.rank == 2
     assert sub.simple_roots == ((1, 0, 0), (0, -1, 1))  # a_0 and a_2
     for n, positions in (
@@ -56,7 +59,7 @@ def test_subsystem_positions_must_increase_inside_the_path():
         (1, (0, 1)),
     ):
         with pytest.raises(ValueError, match="not increasing in 0.."):
-            RootSubsystem(n, positions, 0)
+            RootSubsystem(n, positions)
 
 
 def test_inversion_roots_named_values():
@@ -96,14 +99,15 @@ def test_inversion_roots_match_the_statistic_sets():
                 + [vector(n, (i, 1), (j, 1)) for i, j in nsp]
             )
             assert inversion_roots(w) == expected, w
-            assert RootSubsystem(n, (), inversion_mask(w)).positive_roots == expected
+            assert _decode(n, inversion_mask(w)) == expected
 
 
-def test_root_mask_bits_off_the_system_are_rejected():
-    with pytest.raises(ValueError):
-        RootSubsystem(2, (), 1 << 4)
-    with pytest.raises(ValueError):
-        RootSubsystem(2, (), -1)
+def test_subsystem_mask_cannot_be_passed_in():
+    # a mask given beside the positions could disagree with them: with the
+    # inversion set of the non-separable (-2, 1) as the "mask" of the full
+    # rank-2 system, the pivot test used to answer separable
+    with pytest.raises(TypeError):
+        RootSubsystem(2, (0, 1), inversion_mask((-2, 1)))
 
 
 def test_every_cache_is_bounded():
@@ -112,6 +116,22 @@ def test_every_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters"):
                 assert value.cache_parameters()["maxsize"] is not None, (info.name, name)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a deletion that leaves an import behind shows here
+    for info in pkgutil.iter_modules(bweyl.__path__):
+        module = importlib.import_module(f"bweyl.{info.name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (info.name, sorted(imported - used))
 
 
 def test_inversion_roots_determine_element():
@@ -195,6 +215,20 @@ def test_recursive_oracle_rejects_foreign_vectors():
         is_separable_recursive(1 << 4, full_system(2))  # past the 4 roots
 
 
+def test_recursive_oracle_on_proper_subsystems_matches_the_parabolic_block():
+    # the pivot test inside the subsystem on the kept places sees the part
+    # of w in the standard parabolic subgroup generated by those places
+    for n in (1, 2, 3, 4):
+        for kept in subsets(n):
+            sub = RootSubsystem(n, kept)
+            removed = [p for p in range(n) if p not in kept]
+            for w in all_windows(n):
+                block = parabolic_factor(w, removed)[1]
+                assert is_separable_recursive(inversion_mask(w) & sub.mask, sub) == (
+                    _separable(block)
+                ), (w, kept)
+
+
 def test_recursive_oracle_matches_pattern_test_small_ranks():
     for n in (1, 2, 3):
         sys = full_system(n)
@@ -272,6 +306,7 @@ def test_subsystem_matches_span_membership():
             sub = subsystem_spanned_by(sys, kept)
             assert sub.simple_roots == tuple(simples)
             assert sub.positive_roots == sys.positive_roots & spanned, (n, kept)
+            assert _decode(n, RootSubsystem(n, kept).mask) == sys.positive_roots & spanned
 
 
 def test_components_match_non_orthogonality_graph():
@@ -329,4 +364,4 @@ def test_support_masks_are_the_dominance_upper_sets():
             sub = subsystem_spanned_by(sys, kept)
             for alpha, p in zip(sub.simple_roots, sub.positions):
                 above = {b for b in sub.positive_roots if dominance_leq(alpha, b, sub)}
-                assert RootSubsystem(n, (), sub.mask & support[p]).positive_roots == above
+                assert _decode(n, sub.mask & support[p]) == above
