@@ -31,16 +31,17 @@ from .patterns import (
     is_minimal_nonseparable_fast,
     is_separable,
 )
-from .quotients import quotient_of_interval, splits_with_interval
+from .quotients import splits_with_interval
 from .reports import RANKS
 from .signed_perm import (
     all_windows,
     format_window,
+    inverse,
     length,
     parse_window,
     sort_windows,
 )
-from .weak_order import ideal_polynomial, iter_reduced_words, reduced_word_count
+from .weak_order import _levels, ideal_polynomial, iter_reduced_words, reduced_word_count
 
 MAX_ELEMENT_RANK = 8
 MAX_LISTED_WORDS = 100_000
@@ -142,9 +143,12 @@ def _cmd_ideal_poly(args) -> tuple[dict, int]:
 
 
 def _cmd_quotient(args) -> tuple[dict, int]:
+    # L(w0 * u^-1) is the inverses of the right ideal below -u: its levels
+    # from the identity up, each sorted, are the (length, window) order.
     u = args.window
-    X = quotient_of_interval(u)
-    return {"window": format_window(u), "size": len(X), "windows": _windows_payload(X)}, 0
+    levels = list(_levels(tuple(-x for x in u)))
+    windows = [format_window(x) for level in reversed(levels) for x in sorted(map(inverse, level))]
+    return {"window": format_window(u), "size": len(windows), "windows": windows}, 0
 
 
 def _cmd_split_check(args) -> tuple[dict, int]:

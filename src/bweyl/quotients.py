@@ -8,9 +8,10 @@ left interval below w0 * u^-1.  (X, Y) splits the group when
 multiplication X x Y -> group is length-additive and bijective; the
 theorem sweep compares "(quotient, interval) splits" with separability.
 
-The sweep runs on the whole group indexed as ints (`_GroupTables`); one
-element's check (`splits_with_interval`) walks window tuples, one place
-move per product.  `_splitting_report` is the literal check both are
+The sweep runs on the whole group indexed as ints (`_GroupTables`).  One
+walk on window tuples, one place move per product (`_walk_products`),
+serves the element's check (`splits_with_interval`) and the factorization
+lemma in `theorems`.  `_splitting_report` is the literal check they are
 tested against.
 """
 
@@ -218,15 +219,15 @@ def splitting_restriction(
     return _splitting_report(Xr, Yr, subgroup, len(subgroup))
 
 
-def _walk_splits(tree: list[set[Window]], row: list[Window], order: int) -> bool:
+def _walk_products(tree: list[set[Window]], row: list[Window]) -> set[Window] | None:
     """
-    Whether the products o^-1 * t, for o^-1 in row and t in the tree (its
-    levels from the apex down to the identity, as `_levels` yields them),
-    are length-additive and number `order` distinct elements.  Climbing
-    from the identity, t = t' * s_i for its first right descent i, so the
-    row of t is that of t' with places i, i+1 swapped (place 1 negated for
-    i = 0) in every product, which lengthens it exactly when i is an
-    ascent of it: one comparison per product.
+    The products o^-1 * t, for o^-1 in row and t in the tree (its levels
+    from the apex down to the identity, as `_levels` yields them), or None
+    at the first one that is not length-additive.  Climbing from the
+    identity, t = t' * s_i for its first right descent i, so the row of t
+    is that of t' with places i, i+1 swapped (place 1 negated for i = 0)
+    in every product, which lengthens it exactly when i is an ascent of
+    it: one comparison per product.
     """
     seen = set(row)
     width = len(row)
@@ -244,10 +245,10 @@ def _walk_splits(tree: list[set[Window]], row: list[Window], order: int) -> bool
                 moved = [p[:j] + (p[i], p[j]) + p[i + 1:]
                          for p in below[t[:j] + (t[i], t[j]) + t[i + 1:]] if p[j] < p[i]]
             if len(moved) < width:
-                return False
+                return None
             seen.update(moved)
             rows[t] = moved
-    return len(seen) == order
+    return seen
 
 
 def splits_with_interval(u: Window) -> SplittingReport:
@@ -267,7 +268,8 @@ def splits_with_interval(u: Window) -> SplittingReport:
     if counts[0] * counts[1] != order:
         return SplittingReport(False, False, counts)
     tree, other = (y, x_inv) if counts[0] <= counts[1] else (x_inv, y)
-    if _walk_splits(tree, [inverse(v) for level in other for v in level], order):
+    products = _walk_products(tree, [inverse(v) for level in other for v in level])
+    if products is not None and len(products) == order:
         return SplittingReport(True, True, counts)
     X = [inverse(v) for level in x_inv for v in level]
     return _splitting_report(sorted(X), sorted(v for level in y for v in level), None, order)

@@ -9,7 +9,8 @@ each element the check rejects; an empty universe passes vacuously.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable
+from itertools import permutations, product
+from typing import Callable, Iterable, Iterator
 
 from .patterns import (
     _inverse_minimal,
@@ -20,15 +21,15 @@ from .patterns import (
     parabolic_factor,
 )
 from .polynomials import Poly, group_poincare
-from .quotients import _splitting_report, quotient_interval_identity, verify_main_theorem
+from .quotients import _walk_products, quotient_interval_identity, verify_main_theorem
 from .reports import LemmaReport, lemma_report, require_rank
 from .root_system import full_system, is_separable_recursive
 from .signed_perm import Window, all_windows, identity, inverse, inversion_mask, length
 from .weak_order import (
+    _graded,
+    _levels,
     ideal_polynomial,
     iter_reduced_words,
-    lower_ideal_left,
-    rank_polynomial,
     reduced_word_count,
 )
 
@@ -171,18 +172,27 @@ def check_unique_reduced_word(n: int) -> LemmaReport:
 
 
 def _factorization_witness(w: Window) -> dict | None:
-    """The factorization test on one w ending (-n, n-1); None when it holds."""
+    """
+    The factorization test on one w ending (-n, n-1); None when it holds.
+    With w = q * b over the subgroup without the last two generators, the
+    walk multiplies the y^-1 for y in L(b) by the x^-1 for x in L(q): the
+    (x * y)^-1.  L(w) = L(q) * L(b) exactly when every product is
+    length-additive, #L(w) = #L(q) * #L(b), and the products are the
+    inverses of L(w), so they are distinct and cover it.
+    """
     n = len(w)
     wq, wj = parabolic_factor(w, (n - 2, n - 1))
-    ideal_q = lower_ideal_left(wq)
-    ideal_j = lower_ideal_left(wj)
-    ideal_w = lower_ideal_left(w)
-    # #Q * #J = #L(w) with every product additive, inside L(w) and distinct:
-    # the products are distinct and cover L(w) exactly.
-    split = _splitting_report(list(ideal_q), list(ideal_j), ideal_w.elements, len(ideal_w))
-    geometric = Poly.geometric(2 * n - 2)
-    poly_ok = rank_polynomial(ideal_w) == geometric * rank_polynomial(ideal_j)
-    return None if split.is_splitting and poly_ok else {"window": w}
+    tree = list(_levels(inverse(wq)))
+    j_levels = list(_levels(inverse(wj)))
+    w_levels = list(_levels(inverse(w)))
+    products = _walk_products(tree, [v for level in j_levels for v in level])
+    w_sizes, j_sizes = tuple(map(len, w_levels)), tuple(map(len, j_levels))
+    split = (products is not None
+             and sum(w_sizes) == sum(map(len, tree)) * sum(j_sizes)
+             and products == set().union(*w_levels))
+    poly_ok = (_graded("lower-left", w_sizes)
+               == Poly.geometric(2 * n - 2) * _graded("lower-left", j_sizes))
+    return None if split and poly_ok else {"window": w}
 
 
 def check_factorization_bijection(w: Window) -> LemmaReport:
@@ -199,11 +209,26 @@ def check_factorization_bijection(w: Window) -> LemmaReport:
     return lemma_report("factorization", n, [_factorization_witness(w)])
 
 
+def _factorization_universe(n: int) -> Iterator[Window]:
+    """The rank-n windows ending (-n, n-1), in the order of all_windows(n)."""
+    return (v + (-n, n - 1) for v in (all_windows(n - 2) if n > 2 else [()]))
+
+
 def check_factorization_bijection_all(n: int) -> LemmaReport:
     """Run the factorization check on every rank-n window ending (-n, n-1)."""
-    return _sweep("factorization", n, lambda n: (
-        w for w in all_windows(n) if w[-2] == -n and w[-1] == n - 1
-    ), _factorization_witness)
+    return _sweep("factorization", n, _factorization_universe, _factorization_witness)
+
+
+def _top_tail_windows(n: int) -> Iterator[Window]:
+    """
+    The rank-n windows whose last two magnitudes are {n-1, n}, in the
+    order of all_windows(n): each permutation of 1..n-2 with the tail
+    n-1, n and then n, n-1, every sign pattern on each.
+    """
+    for head in permutations(range(1, n - 1)):
+        for tail in ((n - 1, n), (n, n - 1)):
+            for signs in product((1, -1), repeat=n):
+                yield tuple(s * x for s, x in zip(signs, head + tail))
 
 
 def check_rank_symmetry_proposition(n: int) -> LemmaReport:
@@ -217,10 +242,8 @@ def check_rank_symmetry_proposition(n: int) -> LemmaReport:
             return None
         return {"window": w, "coeffs": f.to_list()}
 
-    return _sweep("rank-symmetry", n, lambda n: (
-        w for w in all_windows(n)
-        if {abs(w[-1]), abs(w[-2])} == {n - 1, n} and _minimal(w)
-    ), case)
+    return _sweep("rank-symmetry", n,
+                  lambda n: (w for w in _top_tail_windows(n) if _minimal(w)), case)
 
 
 def check_separable_product_identity(n: int) -> LemmaReport:

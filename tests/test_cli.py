@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 from bweyl import cli, weak_order
 from bweyl.cli import main
-from bweyl.signed_perm import parse_window
+from bweyl.quotients import quotient_of_interval
+from bweyl.signed_perm import all_windows, format_window, parse_window
 
 
 def run(capsys, *argv):
@@ -53,6 +55,20 @@ def test_quotient_listing(capsys):
     # every listed window parses back
     for text in payload["windows"]:
         parse_window(text)
+
+
+def test_quotient_listing_matches_the_sorted_ideal(capsys):
+    # The listing is read off the levels of the search; it must be the
+    # (length, window) order of the quotient itself.
+    rng = random.Random(5)
+    windows = [w for n in range(1, 5) for w in all_windows(n)]
+    windows += [tuple(rng.choice((1, -1)) * x for x in rng.sample(range(1, 7), 6))
+                for _ in range(30)]
+    for u in windows:
+        code, out, _ = run(capsys, "quotient", format_window(u), "--format", "json")
+        assert code == 0
+        expected = cli._windows_payload(quotient_of_interval(u))
+        assert json.loads(out)["windows"] == expected, u
 
 
 def test_split_check_exit_codes(capsys):

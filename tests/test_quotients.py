@@ -14,7 +14,7 @@ from bweyl.quotients import (
     _lower_ideal_sizes,
     _splitting_report,
     _theorem_cases,
-    _walk_splits,
+    _walk_products,
     quotient_interval_identity,
     generalized_quotient,
     is_splitting,
@@ -189,6 +189,12 @@ def test_splitting_report_matches_length_scan():
                 assert _splitting_report(*args) == splitting_report_by_length(*args), w
 
 
+def walk_splits(tree, row, order):
+    """The split-check verdict on the walk: additive products, `order` of them."""
+    products = _walk_products(tree, row)
+    return products is not None and len(products) == order
+
+
 def test_walk_core_matches_literal_report_on_every_size_matched_pair():
     # Every (X, Y) = (R(a)^-1, R(b)) with #X * #Y = #W, not only the
     # theorem's pairs, walked with either factor as the tree: most of them
@@ -207,8 +213,8 @@ def test_walk_core_matches_literal_report_on_every_size_matched_pair():
                     continue
                 X, Y = [inverse(v) for v in flat[a]], flat[b]
                 report = _splitting_report(sorted(X), sorted(Y), None, order)
-                y_tree = _walk_splits(levels[b], X, order)
-                x_tree = _walk_splits(levels[a], [inverse(v) for v in Y], order)
+                y_tree = walk_splits(levels[b], X, order)
+                x_tree = walk_splits(levels[a], [inverse(v) for v in Y], order)
                 assert y_tree == x_tree == report.is_splitting, (a, b)
                 seen += 1
                 fails += not report.is_splitting
@@ -234,7 +240,7 @@ def test_walk_core_checks_additivity_on_arbitrary_rows():
             for _ in range(20):
                 X = rng.sample(group, order // len(Y))
                 report = _splitting_report(sorted(X), sorted(Y), None, order)
-                assert _walk_splits(tree, X, order) == report.is_splitting, (X, b)
+                assert walk_splits(tree, X, order) == report.is_splitting, (X, b)
                 bijective = len({compose(x, y) for x in X for y in Y}) == order
                 distinct_not_additive += bijective and not report.is_splitting
     assert distinct_not_additive > 0

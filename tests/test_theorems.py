@@ -1,14 +1,22 @@
 """The lemma-level verification surface."""
 
+import sys
+
 import pytest
 
+from bweyl import signed_perm, theorems
 from bweyl.cli import main
+from bweyl.patterns import parabolic_factor
 from bweyl.polynomials import Poly
+from bweyl.quotients import _splitting_report
 from bweyl.reports import RANKS, LemmaReport
 from bweyl.signed_perm import all_windows, identity, length
 from bweyl.theorems import (
     CHECKS,
+    _factorization_universe,
+    _factorization_witness,
     _sweep,
+    _top_tail_windows,
     check_coefficient_shift,
     check_coefficient_shift_all,
     check_factorization_bijection,
@@ -94,19 +102,73 @@ def test_factorization_rejects_wrong_tail():
         check_factorization_bijection((1, 2, 3, 4))
 
 
-def test_factorization_iterates_each_ideal_once(monkeypatch):
-    from bweyl.weak_order import Ideal
+def literal_factorization_witness(w):
+    """The factorization test by its definition: three ideals, every product composed."""
+    n = len(w)
+    wq, wj = parabolic_factor(w, (n - 2, n - 1))
+    ideal_q, ideal_j, ideal_w = (lower_ideal_left(v) for v in (wq, wj, w))
+    split = _splitting_report(list(ideal_q), list(ideal_j), ideal_w.elements, len(ideal_w))
+    poly_ok = rank_polynomial(ideal_w) == Poly.geometric(2 * n - 2) * rank_polynomial(ideal_j)
+    return None if split.is_splitting and poly_ok else {"window": w}
 
-    calls = []
-    iterate = Ideal.__iter__
 
-    def counted(self):
-        calls.append(self.apex)
-        return iterate(self)
+def test_factorization_walk_matches_the_literal_check_on_every_window():
+    # Every window, not only those ending (-n, n-1): most others fail, so
+    # both verdicts are compared.
+    for n in (2, 3, 4, 5):
+        verdicts = set()
+        for w in all_windows(n):
+            witness = _factorization_witness(w)
+            assert witness == literal_factorization_witness(w), w
+            verdicts.add(witness is None)
+        assert verdicts == {True, False}, n
 
-    monkeypatch.setattr(Ideal, "__iter__", counted)
-    assert check_factorization_bijection((2, 1, -4, 3)).passed
-    assert len(calls) == 2  # the two factor ideals, not once per element
+
+def test_factorization_rejects_products_that_miss_the_ideal(monkeypatch):
+    # w and v end (-4, 3) and have the same rank polynomial, so with the
+    # factors of v the walk is additive, the sizes match and the polynomial
+    # test holds: only the comparison with L(w) rejects.
+    w, v = (1, -2, -4, 3), (-2, -1, -4, 3)
+    assert literal_factorization_witness(w) is None
+    assert literal_factorization_witness(v) is None
+    assert rank_polynomial(lower_ideal_left(w)) == rank_polynomial(lower_ideal_left(v))
+    monkeypatch.setattr(theorems, "parabolic_factor",
+                        lambda _, removed: parabolic_factor(v, removed))
+    assert _factorization_witness(w) == {"window": w}
+    assert _factorization_witness(v) is None
+
+
+def test_factorization_composes_nothing(monkeypatch):
+    # The walk moves places; a return to per-product work would compose,
+    # or invert once per element.
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bweyl"]
+    counts = {"compose": 0, "inverse": 0}
+    for name in counts:
+        original = getattr(signed_perm, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    windows = list(_factorization_universe(5))
+    for w in windows:
+        assert check_factorization_bijection(w).passed
+    assert counts["compose"] == 0
+    assert 0 < counts["inverse"] <= 3 * len(windows)
+
+
+def test_direct_universes_match_the_group_filter():
+    for n in range(2, 7):
+        assert list(_factorization_universe(n)) == [
+            w for w in all_windows(n) if w[-2] == -n and w[-1] == n - 1
+        ], n
+    for n in range(3, 7):
+        assert list(_top_tail_windows(n)) == [
+            w for w in all_windows(n) if {abs(w[-1]), abs(w[-2])} == {n - 1, n}
+        ], n
 
 
 def test_factorization_exhaustive_rank_four():
