@@ -8,11 +8,12 @@ left interval below w0 * u^-1.  (X, Y) splits the group when
 multiplication X x Y -> group is length-additive and bijective; the
 theorem sweep compares "(quotient, interval) splits" with separability.
 
-The sweep runs on the whole group indexed as ints (`_GroupTables`).  One
-walk on window tuples, one place move per product (`_walk_products`),
-serves the element's check (`splits_with_interval`) and the factorization
-lemma in `theorems`.  `_splitting_report` is the literal check they are
-tested against.
+The sweep runs on the whole group indexed as ints (`_GroupTables`) and
+walks only the first half of the table: -u sits at the mirrored index
+and splits exactly when u does.  One walk on window tuples, one place
+move per product (`_walk_products`), serves the element's check
+(`splits_with_interval`) and the factorization lemma in `theorems`.
+`_splitting_report` is the literal check they are tested against.
 """
 
 from __future__ import annotations
@@ -282,26 +283,27 @@ class _GroupTables:
     sentinel `order` otherwise, up[i][k] the same when it is longer; both
     map the sentinel to itself, so a walk off the cover relation stays
     there.  inv[k] is the index of w_k^-1, so the left tables serve the
-    right order too.
+    right order too.  Negation maps length l to n^2 - l and reverses the
+    window order within a length, so -w_k is w_{order-1-k}.
     """
 
     def __init__(self, n: int) -> None:
         self.windows = sort_windows(all_windows(n))
-        self.index = {w: k for k, w in enumerate(self.windows)}
+        index = {w: k for k, w in enumerate(self.windows)}
         self.order = len(self.windows)
         sentinel = self.order
         self.down, self.up = [], []
         for i in range(n):
             # A cover is one length away, so in length order it is shorter
             # exactly when its index is smaller.
-            images = [self.index[left_mul_simple(i, w)] for w in self.windows]
+            images = [index[left_mul_simple(i, w)] for w in self.windows]
             down = array("i", [j if j < k else sentinel for k, j in enumerate(images)])
             up = array("i", [j if j > k else sentinel for k, j in enumerate(images)])
             down.append(sentinel)
             up.append(sentinel)
             self.down.append(down)
             self.up.append(up)
-        self.inv = array("i", [self.index[inverse(w)] for w in self.windows])
+        self.inv = array("i", [index[inverse(w)] for w in self.windows])
 
     def below(self, apex: int) -> list[int]:
         """
@@ -390,18 +392,20 @@ def _theorem_cases(n: int) -> list[tuple[Window, bool, bool]]:
     (u, is_separable(u), whether (quotient, interval) splits) for every u
     of rank n, sorted by u.  #X = |L(w0 u^-1)| and #Y = |L(u^-1)|, so the
     ideal sizes settle #X * #Y != #W without building either factor; the
-    remaining cases get the full product walk.
+    remaining cases get the full product walk.  The pair of -u is
+    (Y^-1, X^-1), whose product map is (x, y) -> (xy)^-1, so u and -u
+    split together and only the first half of the table is walked
+    (`test_theorem_sweep_walks_the_first_half_of_the_table`).
     """
     tables = _GroupTables(n)
     sizes = _lower_ideal_sizes(tables)
-    index, inv = tables.index, tables.inv
-    w0 = longest_element(n)
-    cases = []
-    for k, u in enumerate(tables.windows):
-        x_apex = index[compose(w0, inverse(u))]
-        splits = sizes[x_apex] * sizes[inv[k]] == tables.order and tables.splits(x_apex, k)
-        cases.append((u, _separable(u), splits))
-    return sorted(cases)
+    inv, order = tables.inv, tables.order
+    splits = [False] * order
+    for k in range(order // 2):
+        x_apex = inv[order - 1 - k]  # w0 * w_k^-1 = (-w_k)^-1
+        if sizes[x_apex] * sizes[inv[k]] == order and tables.splits(x_apex, k):
+            splits[k] = splits[order - 1 - k] = True
+    return sorted(zip(tables.windows, map(_separable, tables.windows), splits))
 
 
 def verify_main_theorem(n: int) -> LemmaReport:

@@ -473,9 +473,71 @@ def test_table_ideal_sizes_match_ideals_rank_five():
     assert len(sizes) == len(tables.windows) == 3840
     for w, size in zip(tables.windows, sizes):
         assert size == len(lower_ideal_left(w)), w
-    for w, k in tables.index.items():
+    for k, w in enumerate(tables.windows):
         assert tables.windows[tables.inv[k]] == inverse(w), w
         assert tables.inv[tables.inv[k]] == k, w
+
+
+def test_negation_reverses_the_table_order():
+    for n in range(1, 6):
+        tables = _GroupTables(n)
+        windows, inv, last = tables.windows, tables.inv, tables.order - 1
+        index = {w: k for k, w in enumerate(windows)}
+        w0 = longest_element(n)
+        for k, w in enumerate(windows):
+            assert windows[last - k] == tuple(-v for v in w), (n, w)
+            assert inv[last - k] == index[compose(w0, inverse(w))], (n, w)
+
+
+def _full_walk_theorem_cases(n):
+    # The oracle: every u walked, its apex composed from the window.
+    tables = _GroupTables(n)
+    sizes = _lower_ideal_sizes(tables)
+    index = {w: k for k, w in enumerate(tables.windows)}
+    inv = tables.inv
+    w0 = longest_element(n)
+    cases = []
+    for k, u in enumerate(tables.windows):
+        x_apex = index[compose(w0, inverse(u))]
+        splits = sizes[x_apex] * sizes[inv[k]] == tables.order and tables.splits(x_apex, k)
+        cases.append((u, is_separable(u), splits))
+    return sorted(cases)
+
+
+def test_halved_theorem_sweep_matches_the_full_walk():
+    for n in (2, 3, 4, 5):
+        assert _theorem_cases(n) == _full_walk_theorem_cases(n), n
+
+
+def test_theorem_sweep_walks_the_first_half_of_the_table(monkeypatch):
+    # Pins the reuse key: a sweep that reused the verdict of u^-1 in place
+    # of -u agrees with the full walk at every rank here, but walks
+    # another set of u.
+    calls = []
+    splits = _GroupTables.splits
+
+    def recording(self, x_apex, u):
+        calls.append((x_apex, u))
+        return splits(self, x_apex, u)
+
+    monkeypatch.setattr(_GroupTables, "splits", recording)
+    for n in (2, 3, 4, 5):
+        calls.clear()
+        _theorem_cases(n)
+        tables = _GroupTables(n)
+        sizes = _lower_ideal_sizes(tables)
+        index = {w: k for k, w in enumerate(tables.windows)}
+        w0 = longest_element(n)
+        apex = [index[compose(w0, inverse(u))] for u in tables.windows]
+        half = tables.order // 2
+        walked = [u for _, u in calls]
+        assert len(walked) == len(set(walked)), n
+        assert all(u < half for u in walked), n
+        assert set(walked) == {
+            k for k in range(half)
+            if sizes[apex[k]] * sizes[tables.inv[k]] == tables.order
+        }, n
+        assert all(x_apex == apex[u] for x_apex, u in calls), n
 
 
 def test_report_json_shape():
