@@ -8,9 +8,10 @@ left interval below w0 * u^-1.  (X, Y) splits the group when
 multiplication X x Y -> group is length-additive and bijective; the
 theorem sweep compares "(quotient, interval) splits" with separability.
 
-The sweep runs on the whole group indexed as ints (`_GroupTables`) and
-walks only the first half of the table: -u sits at the mirrored index
-and splits exactly when u does.  One walk on window tuples, one place
+The sweep runs on the whole group indexed as ints (`_GroupTables`),
+reads the ideals it walks from the bitsets of the size DP, and walks
+only the first half of the table: -u sits at the mirrored index and
+splits exactly when u does.  One walk on window tuples, one place
 move per product (`_walk_products`), serves the element's check
 (`splits_with_interval`) and the factorization lemma in `theorems`.
 `_splitting_report` is the literal check they are tested against.
@@ -18,10 +19,11 @@ move per product (`_walk_products`), serves the element's check
 
 from __future__ import annotations
 
+import re
 from array import array
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .patterns import _separable, parabolic_factor
 from .reports import LemmaReport, SplittingReport, lemma_report, require_rank
@@ -34,7 +36,6 @@ from .signed_perm import (
     identity,
     inverse,
     inversion_mask,
-    left_mul_simple,
     longest_element,
     sort_windows,
     validate_window,
@@ -283,61 +284,51 @@ class _GroupTables:
     sentinel `order` otherwise, up[i][k] the same when it is longer; both
     map the sentinel to itself, so a walk off the cover relation stays
     there.  inv[k] is the index of w_k^-1, so the left tables serve the
-    right order too.  Negation maps length l to n^2 - l and reverses the
-    window order within a length, so -w_k is w_{order-1-k}.
+    right order too.  s_i * w is the inverse of w^-1 * s_i, which is w^-1
+    with places i, i+1 swapped (place 1 negated for i = 0), so the tables
+    are read off the inverse windows.  Negation maps length l to n^2 - l
+    and reverses the window order within a length, so -w_k is
+    w_{order-1-k}.
     """
 
     def __init__(self, n: int) -> None:
         self.windows = sort_windows(all_windows(n))
-        index = {w: k for k, w in enumerate(self.windows)}
+        inverses = [inverse(w) for w in self.windows]
+        index = {v: k for k, v in enumerate(inverses)}  # w_k^-1 -> k
         self.order = len(self.windows)
+        self.inv = array("i", map(index.__getitem__, self.windows))
         sentinel = self.order
         self.down, self.up = [], []
         for i in range(n):
+            if i:
+                places = list(range(n))
+                places[i - 1], places[i] = i, i - 1
+                moved = map(itemgetter(*places), inverses)
+            else:
+                moved = ((-v[0],) + v[1:] for v in inverses)
             # A cover is one length away, so in length order it is shorter
             # exactly when its index is smaller.
-            images = [index[left_mul_simple(i, w)] for w in self.windows]
+            images = list(map(index.__getitem__, moved))
             down = array("i", [j if j < k else sentinel for k, j in enumerate(images)])
             up = array("i", [j if j > k else sentinel for k, j in enumerate(images)])
             down.append(sentinel)
             up.append(sentinel)
             self.down.append(down)
             self.up.append(up)
-        self.inv = array("i", [index[inverse(w)] for w in self.windows])
 
-    def below(self, apex: int) -> list[int]:
+    def splits(self, X: list[int], Y_inv: list[int]) -> bool:
         """
-        The principal lower left ideal of apex, in increasing length,
-        identity first.
-        """
-        sentinel = self.order
-        out = [apex]
-        level = {apex}
-        while level:
-            nxt: set[int] = set()
-            for down in self.down:
-                nxt.update(map(down.__getitem__, level))
-            nxt.discard(sentinel)
-            out.extend(nxt)
-            level = nxt
-        out.reverse()
-        return out
-
-    def splits(self, x_apex: int, u: int) -> bool:
-        """
-        Whether (X, Y) splits the group, with X the lower left ideal of
-        x_apex and Y the lower right interval of u, read as Y^-1, the lower
-        left ideal of u^-1.  The smaller factor is walked as a spanning
+        Whether (X, Y) splits the group, with X a lower left ideal and Y a
+        lower right interval, read as Y^-1: ascending index lists, so by
+        length, identity first.  The smaller factor is walked as a spanning
         tree: x * y = s_i * (x' * y) for x = s_i * x', or the same for the
         inverse products y^-1 * x^-1.  Lookups are in the ascent tables, so
         a product that is not the sentinel is additive; with #X * #Y = #W
         the products cover the group when none is the sentinel or collides.
         """
-        inv = self.inv
-        X = self.below(x_apex)
-        Y_inv = self.below(inv[u])
         if len(X) * len(Y_inv) != self.order:
             return False
+        inv = self.inv
         if len(X) <= len(Y_inv):
             tree, row = X, list(map(inv.__getitem__, Y_inv))
         else:
@@ -357,17 +348,21 @@ class _GroupTables:
         return len(seen) == self.order
 
 
-def _lower_ideal_sizes(tables: _GroupTables) -> array:
+def _lower_ideal_sizes(
+    tables: _GroupTables, keep: Container[int] = ()
+) -> tuple[array, dict[int, int]]:
     """
-    The size of every principal lower left ideal, indexed like tables, in
-    one pass in length order: the ideal of w as an int bitset is w's bit
-    OR'd with the ideals of its lower covers, each dropped once all the
-    upper covers of its element have used it.
+    The size of every principal lower left ideal, indexed like tables, and
+    the ideals of the apexes in keep as int bitsets (bit j for w_j), in one
+    pass in length order: the ideal of w is w's bit OR'd with the ideals of
+    its lower covers, each dropped once all the upper covers of its element
+    have used it.
     """
     order = tables.order
     sizes = array("i", bytes(4 * order))
     pending = array("i", bytes(4 * order))
     live: dict[int, int] = {}
+    kept: dict[int, int] = {}
     for k in range(order):
         bits = 1 << k
         ascents = 0
@@ -381,10 +376,17 @@ def _lower_ideal_sizes(tables: _GroupTables) -> array:
             if not pending[c]:
                 del live[c]
         sizes[k] = bits.bit_count()
+        if k in keep:
+            kept[k] = bits
         if ascents:
             pending[k] = ascents
             live[k] = bits
-    return sizes
+    return sizes, kept
+
+
+def _members(bits: int) -> list[int]:
+    """The set bits of bits in ascending order, found by one scan of its binary digits."""
+    return [m.start() for m in re.finditer("1", bin(bits)[:1:-1])]
 
 
 def _theorem_cases(n: int) -> list[tuple[Window, bool, bool]]:
@@ -392,18 +394,24 @@ def _theorem_cases(n: int) -> list[tuple[Window, bool, bool]]:
     (u, is_separable(u), whether (quotient, interval) splits) for every u
     of rank n, sorted by u.  #X = |L(w0 u^-1)| and #Y = |L(u^-1)|, so the
     ideal sizes settle #X * #Y != #W without building either factor; the
-    remaining cases get the full product walk.  The pair of -u is
-    (Y^-1, X^-1), whose product map is (x, y) -> (xy)^-1, so u and -u
-    split together and only the first half of the table is walked
+    remaining cases get the full product walk, on the two ideals kept by a
+    second pass of the size DP.  The pair of -u is (Y^-1, X^-1), whose
+    product map is (x, y) -> (xy)^-1, so u and -u split together and only
+    the first half of the table is walked
     (`test_theorem_sweep_walks_the_first_half_of_the_table`).
     """
     tables = _GroupTables(n)
-    sizes = _lower_ideal_sizes(tables)
     inv, order = tables.inv, tables.order
+    sizes, _ = _lower_ideal_sizes(tables)
+    # The apexes of X and Y^-1: w0 * w_k^-1 = (-w_k)^-1 and w_k^-1.
+    apexes = {k: (inv[order - 1 - k], inv[k]) for k in range(order // 2)}
+    walked = {k: (a, b) for k, (a, b) in apexes.items() if sizes[a] * sizes[b] == order}
+    _, ideals = _lower_ideal_sizes(tables, {a for pair in walked.values() for a in pair})
     splits = [False] * order
-    for k in range(order // 2):
-        x_apex = inv[order - 1 - k]  # w0 * w_k^-1 = (-w_k)^-1
-        if sizes[x_apex] * sizes[inv[k]] == order and tables.splits(x_apex, k):
+    # Walked from the top, each ideal dropped once read, so the largest
+    # walk (u = e, X = W) runs when the other ideals are gone.
+    for k, (a, b) in reversed(walked.items()):
+        if tables.splits(_members(ideals.pop(a)), _members(ideals.pop(b))):
             splits[k] = splits[order - 1 - k] = True
     return sorted(zip(tables.windows, map(_separable, tables.windows), splits))
 

@@ -1,6 +1,7 @@
 """Generalized quotients, interval identity, splittings, transports."""
 
 import random
+from array import array
 from itertools import chain, combinations
 
 import pytest
@@ -12,6 +13,7 @@ from bweyl.quotients import (
     _GroupTables,
     _greatest,
     _lower_ideal_sizes,
+    _members,
     _splitting_report,
     _theorem_cases,
     _walk_products,
@@ -33,8 +35,10 @@ from bweyl.signed_perm import (
     group_order,
     identity,
     inverse,
+    left_mul_simple,
     length,
     longest_element,
+    sort_windows,
 )
 from bweyl.weak_order import _levels, interval_right, lower_ideal_left
 
@@ -449,33 +453,86 @@ def test_table_sweep_matches_tuple_path():
             ), u
 
 
+def all_ideals(tables):
+    """Every principal lower left ideal as an ascending index list, from the DP."""
+    _, kept = _lower_ideal_sizes(tables, range(tables.order))
+    return [_members(kept[k]) for k in range(tables.order)]
+
+
 def test_table_walk_matches_tuple_walk_on_every_pair():
     # Every (lower left ideal, lower right interval) pair, not only the
     # theorem's: at rank 3 the size check passes for 84 non-splitting pairs,
     # so both failure kinds of the walk are exercised.
     for n in (2, 3):
         tables = _GroupTables(n)
+        ideals = all_ideals(tables)
         X = [lower_ideal_left(w).elements for w in tables.windows]
         Y = [interval_right(w).elements for w in tables.windows]
         failures = set()
         for a in range(tables.order):
             for u in range(tables.order):
                 report = is_splitting(X[a], Y[u], n)
-                assert tables.splits(a, u) == report.is_splitting, (n, a, u)
+                walked = tables.splits(ideals[a], ideals[tables.inv[u]])
+                assert walked == report.is_splitting, (n, a, u)
                 if report.failure_witness:
                     failures.add(report.failure_witness[0])
         assert n == 2 or failures == {"length-deficit", "collision"}
 
 
+def literal_tables(n):
+    """down, up and inv by their definitions: one left_mul_simple per generator and element."""
+    windows = sort_windows(all_windows(n))
+    index = {w: k for k, w in enumerate(windows)}
+    order = len(windows)
+    down, up = [], []
+    for i in range(n):
+        images = [index[left_mul_simple(i, w)] for w in windows]
+        down.append(array("i", [j if j < k else order for k, j in enumerate(images)] + [order]))
+        up.append(array("i", [j if j > k else order for k, j in enumerate(images)] + [order]))
+    return down, up, array("i", [index[inverse(w)] for w in windows])
+
+
+def test_tables_match_the_literal_construction():
+    for n in range(1, 6):
+        tables = _GroupTables(n)
+        assert tables.windows == sort_windows(all_windows(n)), n
+        assert (tables.down, tables.up, tables.inv) == literal_tables(n), n
+
+
 def test_table_ideal_sizes_match_ideals_rank_five():
     tables = _GroupTables(5)
-    sizes = _lower_ideal_sizes(tables)
+    sizes, kept = _lower_ideal_sizes(tables)
     assert len(sizes) == len(tables.windows) == 3840
+    assert kept == {}
     for w, size in zip(tables.windows, sizes):
         assert size == len(lower_ideal_left(w)), w
     for k, w in enumerate(tables.windows):
         assert tables.windows[tables.inv[k]] == inverse(w), w
         assert tables.inv[tables.inv[k]] == k, w
+
+
+def searched_ideals(tables, apexes):
+    """The sorted table indices of the lower left ideal of each apex, by the tuple search."""
+    index = {w: j for j, w in enumerate(tables.windows)}
+    return [sorted(index[v] for v in lower_ideal_left(tables.windows[k])) for k in apexes]
+
+
+def test_kept_ideals_match_the_tuple_search():
+    for n in range(1, 5):
+        tables = _GroupTables(n)
+        sizes, _ = _lower_ideal_sizes(tables, range(tables.order))
+        assert sizes == _lower_ideal_sizes(tables)[0], n
+        assert all_ideals(tables) == searched_ideals(tables, range(tables.order)), n
+    # At rank 5, the apexes the sweep keeps: both of every walked u.
+    tables = _GroupTables(5)
+    inv, order = tables.inv, tables.order
+    sizes, _ = _lower_ideal_sizes(tables)
+    apexes = sorted({a for k in range(order // 2) for a in (inv[order - 1 - k], inv[k])
+                     if sizes[inv[order - 1 - k]] * sizes[inv[k]] == order})
+    kept_sizes, kept = _lower_ideal_sizes(tables, apexes)
+    assert kept_sizes == sizes
+    assert sorted(kept) == apexes
+    assert [_members(kept[a]) for a in apexes] == searched_ideals(tables, apexes)
 
 
 def test_negation_reverses_the_table_order():
@@ -492,14 +549,14 @@ def test_negation_reverses_the_table_order():
 def _full_walk_theorem_cases(n):
     # The oracle: every u walked, its apex composed from the window.
     tables = _GroupTables(n)
-    sizes = _lower_ideal_sizes(tables)
+    ideals = all_ideals(tables)
     index = {w: k for k, w in enumerate(tables.windows)}
     inv = tables.inv
     w0 = longest_element(n)
     cases = []
     for k, u in enumerate(tables.windows):
-        x_apex = index[compose(w0, inverse(u))]
-        splits = sizes[x_apex] * sizes[inv[k]] == tables.order and tables.splits(x_apex, k)
+        X, Y_inv = ideals[index[compose(w0, inverse(u))]], ideals[inv[k]]
+        splits = len(X) * len(Y_inv) == tables.order and tables.splits(X, Y_inv)
         cases.append((u, is_separable(u), splits))
     return sorted(cases)
 
@@ -512,20 +569,21 @@ def test_halved_theorem_sweep_matches_the_full_walk():
 def test_theorem_sweep_walks_the_first_half_of_the_table(monkeypatch):
     # Pins the reuse key: a sweep that reused the verdict of u^-1 in place
     # of -u agrees with the full walk at every rank here, but walks
-    # another set of u.
+    # another set of u.  Each ideal is an ascending index list, so its
+    # apex is its last member.
     calls = []
     splits = _GroupTables.splits
 
-    def recording(self, x_apex, u):
-        calls.append((x_apex, u))
-        return splits(self, x_apex, u)
+    def recording(self, X, Y_inv):
+        calls.append((X[-1], self.inv[Y_inv[-1]]))
+        return splits(self, X, Y_inv)
 
     monkeypatch.setattr(_GroupTables, "splits", recording)
     for n in (2, 3, 4, 5):
         calls.clear()
         _theorem_cases(n)
         tables = _GroupTables(n)
-        sizes = _lower_ideal_sizes(tables)
+        sizes, _ = _lower_ideal_sizes(tables)
         index = {w: k for k, w in enumerate(tables.windows)}
         w0 = longest_element(n)
         apex = [index[compose(w0, inverse(u))] for u in tables.windows]
