@@ -8,13 +8,13 @@ left interval below w0 * u^-1.  (X, Y) splits the group when
 multiplication X x Y -> group is length-additive and bijective; the
 theorem sweep compares "(quotient, interval) splits" with separability.
 
-The sweep runs on the whole group indexed as ints (`_GroupTables`),
-reads the ideals it walks from the bitsets of the size DP, and walks
-only the first half of the table: -u sits at the mirrored index and
-splits exactly when u does.  One walk on window tuples, one place
-move per product (`_walk_products`), serves the element's check
-(`splits_with_interval`) and the factorization lemma in `theorems`.
-`_splitting_report` is the literal check they are tested against.
+The sweep indexes the group as ints, with one ascent table per
+generator (`_GroupTables`); its ideal DP and its walk both push upward
+in table order, and it walks only the first half of the table: -u sits
+at the mirrored index and splits exactly when u does.  One walk on
+window tuples, one place move per product (`_walk_products`), serves
+the element's check (`splits_with_interval`) and the factorization
+lemma in `theorems`; `_splitting_report` is the literal check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import re
 from array import array
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .patterns import _separable, parabolic_factor
 from .reports import LemmaReport, SplittingReport, lemma_report, require_rank
@@ -280,15 +280,14 @@ def splits_with_interval(u: Window) -> SplittingReport:
 class _GroupTables:
     """
     The rank-n group indexed as ints, elements sorted by (length, window).
-    down[i][k] is the index of s_i * w_k when that is shorter and the
-    sentinel `order` otherwise, up[i][k] the same when it is longer; both
-    map the sentinel to itself, so a walk off the cover relation stays
-    there.  inv[k] is the index of w_k^-1, so the left tables serve the
-    right order too.  s_i * w is the inverse of w^-1 * s_i, which is w^-1
-    with places i, i+1 swapped (place 1 negated for i = 0), so the tables
-    are read off the inverse windows.  Negation maps length l to n^2 - l
-    and reverses the window order within a length, so -w_k is
-    w_{order-1-k}.
+    up[i][k] is the index of s_i * w_k when that is longer and the
+    sentinel `order` otherwise, and maps the sentinel to itself, so a walk
+    off the cover relation stays there.  inv[k] is the index of w_k^-1, so
+    the left tables serve the right order too.  s_i * w is the inverse of
+    w^-1 * s_i, which is w^-1 with places i, i+1 swapped (place 1 negated
+    for i = 0), so the tables are read off the inverse windows.  Negation
+    maps length l to n^2 - l and reverses the window order within a
+    length, so -w_k is w_{order-1-k}.
     """
 
     def __init__(self, n: int) -> None:
@@ -298,7 +297,7 @@ class _GroupTables:
         self.order = len(self.windows)
         self.inv = array("i", map(index.__getitem__, self.windows))
         sentinel = self.order
-        self.down, self.up = [], []
+        self.up = []
         for i in range(n):
             if i:
                 places = list(range(n))
@@ -306,25 +305,24 @@ class _GroupTables:
                 moved = map(itemgetter(*places), inverses)
             else:
                 moved = ((-v[0],) + v[1:] for v in inverses)
-            # A cover is one length away, so in length order it is shorter
-            # exactly when its index is smaller.
-            images = list(map(index.__getitem__, moved))
-            down = array("i", [j if j < k else sentinel for k, j in enumerate(images)])
+            # A cover is one length away, so in length order it is longer
+            # exactly when its index is larger.
+            images = map(index.__getitem__, moved)
             up = array("i", [j if j > k else sentinel for k, j in enumerate(images)])
-            down.append(sentinel)
             up.append(sentinel)
-            self.down.append(down)
             self.up.append(up)
 
     def splits(self, X: list[int], Y_inv: list[int]) -> bool:
         """
         Whether (X, Y) splits the group, with X a lower left ideal and Y a
         lower right interval, read as Y^-1: ascending index lists, so by
-        length, identity first.  The smaller factor is walked as a spanning
-        tree: x * y = s_i * (x' * y) for x = s_i * x', or the same for the
-        inverse products y^-1 * x^-1.  Lookups are in the ascent tables, so
-        a product that is not the sentinel is additive; with #X * #Y = #W
-        the products cover the group when none is the sentinel or collides.
+        length, identity first.  The smaller factor is walked as a tree,
+        upward in table order: the row of z (its products with the other
+        factor) goes to each upper cover s_i * z in the tree not yet
+        reached, moved by up[i] as s_i * (z * y), and is dropped once read.
+        The tables send a product that is not additive to the sentinel, so
+        with #X * #Y = #W the products cover the group when none is the
+        sentinel or collides.
         """
         if len(X) * len(Y_inv) != self.order:
             return False
@@ -333,55 +331,40 @@ class _GroupTables:
             tree, row = X, list(map(inv.__getitem__, Y_inv))
         else:
             tree, row = Y_inv, list(map(inv.__getitem__, X))
-        sentinel = self.order
-        place = {z: j for j, z in enumerate(tree)}
-        rows = [row]
+        unreached = set(tree[1:])
+        rows = {tree[0]: row}
         seen = set(row)
-        # The loop runs only on a tree of two or more, and a row is never
+        # A row is pushed only on a tree of two or more, and a row is never
         # shorter than the tree, so itemgetter returns a tuple.
-        for z in tree[1:]:
-            i = next(i for i, down in enumerate(self.down) if down[z] != sentinel)
-            row = itemgetter(*rows[place[self.down[i][z]]])(self.up[i])
-            seen.update(row)
-            rows.append(row)
-        seen.discard(sentinel)
+        for z in tree:
+            row = rows.pop(z)
+            for up in self.up:
+                c = up[z]
+                if c in unreached:
+                    unreached.remove(c)
+                    rows[c] = moved = itemgetter(*row)(up)
+                    seen.update(moved)
+        seen.discard(self.order)
         return len(seen) == self.order
 
 
-def _lower_ideal_sizes(
-    tables: _GroupTables, keep: Container[int] = ()
-) -> tuple[array, dict[int, int]]:
+def _lower_ideals(tables: _GroupTables) -> Iterator[int]:
     """
-    The size of every principal lower left ideal, indexed like tables, and
-    the ideals of the apexes in keep as int bitsets (bit j for w_j), in one
-    pass in length order: the ideal of w is w's bit OR'd with the ideals of
-    its lower covers, each dropped once all the upper covers of its element
-    have used it.
+    The principal lower left ideal of every w_k in table order, as an int
+    bitset (bit j for w_j), in one pass upward: the ideal of w_k is bit k
+    OR'd with what its lower covers pushed to it, and is pushed in turn to
+    its upper covers.  Only the pushes to the elements not yet reached are
+    held.
     """
     order = tables.order
-    sizes = array("i", bytes(4 * order))
-    pending = array("i", bytes(4 * order))
-    live: dict[int, int] = {}
-    kept: dict[int, int] = {}
+    above: dict[int, int] = {}
     for k in range(order):
-        bits = 1 << k
-        ascents = 0
-        for down in tables.down:
-            c = down[k]
-            if c == order:
-                ascents += 1
-                continue
-            bits |= live[c]
-            pending[c] -= 1
-            if not pending[c]:
-                del live[c]
-        sizes[k] = bits.bit_count()
-        if k in keep:
-            kept[k] = bits
-        if ascents:
-            pending[k] = ascents
-            live[k] = bits
-    return sizes, kept
+        bits = above.pop(k, 0) | 1 << k
+        yield bits
+        for up in tables.up:
+            c = up[k]
+            if c != order:
+                above[c] = above.get(c, 0) | bits
 
 
 def _members(bits: int) -> list[int]:
@@ -393,20 +376,21 @@ def _theorem_cases(n: int) -> list[tuple[Window, bool, bool]]:
     """
     (u, is_separable(u), whether (quotient, interval) splits) for every u
     of rank n, sorted by u.  #X = |L(w0 u^-1)| and #Y = |L(u^-1)|, so the
-    ideal sizes settle #X * #Y != #W without building either factor; the
-    remaining cases get the full product walk, on the two ideals kept by a
-    second pass of the size DP.  The pair of -u is (Y^-1, X^-1), whose
-    product map is (x, y) -> (xy)^-1, so u and -u split together and only
-    the first half of the table is walked
-    (`test_theorem_sweep_walks_the_first_half_of_the_table`).
+    ideal sizes, counted once off the ideal DP, settle #X * #Y != #W
+    without building either factor; the remaining cases get the full
+    product walk, on the two ideals kept from a second run of the DP.
+    The pair of -u is (Y^-1, X^-1), whose product map is (x, y) -> (xy)^-1,
+    so u and -u split together and only the first half of the table is
+    walked (`test_theorem_sweep_walks_the_first_half_of_the_table`).
     """
     tables = _GroupTables(n)
     inv, order = tables.inv, tables.order
-    sizes, _ = _lower_ideal_sizes(tables)
+    sizes = array("i", map(int.bit_count, _lower_ideals(tables)))
     # The apexes of X and Y^-1: w0 * w_k^-1 = (-w_k)^-1 and w_k^-1.
     apexes = {k: (inv[order - 1 - k], inv[k]) for k in range(order // 2)}
     walked = {k: (a, b) for k, (a, b) in apexes.items() if sizes[a] * sizes[b] == order}
-    _, ideals = _lower_ideal_sizes(tables, {a for pair in walked.values() for a in pair})
+    keep = {a for pair in walked.values() for a in pair}
+    ideals = {k: bits for k, bits in enumerate(_lower_ideals(tables)) if k in keep}
     splits = [False] * order
     # Walked from the top, each ideal dropped once read, so the largest
     # walk (u = e, X = W) runs when the other ideals are gone.

@@ -12,7 +12,7 @@ from bweyl.polynomials import from_counts, group_poincare
 from bweyl.quotients import (
     _GroupTables,
     _greatest,
-    _lower_ideal_sizes,
+    _lower_ideals,
     _members,
     _splitting_report,
     _theorem_cases,
@@ -201,12 +201,16 @@ def walk_splits(tree, row, order):
 
 def test_walk_core_matches_literal_report_on_every_size_matched_pair():
     # Every (X, Y) = (R(a)^-1, R(b)) with #X * #Y = #W, not only the
-    # theorem's pairs, walked with either factor as the tree: most of them
-    # fail, by a deficit or by a collision.
+    # theorem's pairs, walked with either factor as the tree, and by the
+    # table walk on X = L(a^-1) and Y^-1 = L(b^-1) from the ideal DP: most
+    # of them fail, by a deficit or by a collision.
     expected = {2: (10, 4), 3: (106, 84), 4: (1772, 1682)}
     kinds = set()
     for n, (pairs, failing) in expected.items():
         order = group_order(n)
+        tables = _GroupTables(n)
+        ideals = all_ideals(tables)
+        index = {w: k for k, w in enumerate(tables.windows)}
         levels = {w: list(_levels(w)) for w in all_windows(n)}
         sizes = {w: sum(map(len, ls)) for w, ls in levels.items()}
         flat = {w: [v for level in ls for v in level] for w, ls in levels.items()}
@@ -219,12 +223,39 @@ def test_walk_core_matches_literal_report_on_every_size_matched_pair():
                 report = _splitting_report(sorted(X), sorted(Y), None, order)
                 y_tree = walk_splits(levels[b], X, order)
                 x_tree = walk_splits(levels[a], [inverse(v) for v in Y], order)
-                assert y_tree == x_tree == report.is_splitting, (a, b)
+                table = tables.splits(ideals[index[inverse(a)]], ideals[index[inverse(b)]])
+                assert y_tree == x_tree == table == report.is_splitting, (a, b)
                 seen += 1
                 fails += not report.is_splitting
                 kinds.add(report.failure_witness and report.failure_witness[0])
         assert (seen, fails) == (pairs, failing), n
     assert kinds == {None, "length-deficit", "collision"}
+
+
+def test_table_walk_reads_one_row_per_tree_element(monkeypatch):
+    # Each tree element but the identity gets its row once, from the first
+    # lower cover that reaches it; a walk that pushed a row again to an
+    # element already reached would keep every verdict and only do more.
+    tables = _GroupTables(4)
+    ideals = all_ideals(tables)
+    rows = 0
+    itemgetter = quotients.itemgetter
+
+    def counting(*items):
+        nonlocal rows
+        rows += 1
+        return itemgetter(*items)
+
+    monkeypatch.setattr(quotients, "itemgetter", counting)
+    walks = 0
+    for X in ideals:
+        for Y_inv in ideals:
+            if len(X) * len(Y_inv) == tables.order:
+                rows = 0
+                tables.splits(X, Y_inv)
+                assert rows == min(len(X), len(Y_inv)) - 1, (X[-1], Y_inv[-1])
+                walks += 1
+    assert walks == 1772
 
 
 def test_walk_core_checks_additivity_on_arbitrary_rows():
@@ -455,8 +486,7 @@ def test_table_sweep_matches_tuple_path():
 
 def all_ideals(tables):
     """Every principal lower left ideal as an ascending index list, from the DP."""
-    _, kept = _lower_ideal_sizes(tables, range(tables.order))
-    return [_members(kept[k]) for k in range(tables.order)]
+    return [_members(bits) for bits in _lower_ideals(tables)]
 
 
 def test_table_walk_matches_tuple_walk_on_every_pair():
@@ -480,30 +510,28 @@ def test_table_walk_matches_tuple_walk_on_every_pair():
 
 
 def literal_tables(n):
-    """down, up and inv by their definitions: one left_mul_simple per generator and element."""
+    """up and inv by their definitions: one left_mul_simple per generator and element."""
     windows = sort_windows(all_windows(n))
     index = {w: k for k, w in enumerate(windows)}
     order = len(windows)
-    down, up = [], []
+    up = []
     for i in range(n):
         images = [index[left_mul_simple(i, w)] for w in windows]
-        down.append(array("i", [j if j < k else order for k, j in enumerate(images)] + [order]))
         up.append(array("i", [j if j > k else order for k, j in enumerate(images)] + [order]))
-    return down, up, array("i", [index[inverse(w)] for w in windows])
+    return up, array("i", [index[inverse(w)] for w in windows])
 
 
 def test_tables_match_the_literal_construction():
     for n in range(1, 6):
         tables = _GroupTables(n)
         assert tables.windows == sort_windows(all_windows(n)), n
-        assert (tables.down, tables.up, tables.inv) == literal_tables(n), n
+        assert (tables.up, tables.inv) == literal_tables(n), n
 
 
 def test_table_ideal_sizes_match_ideals_rank_five():
     tables = _GroupTables(5)
-    sizes, kept = _lower_ideal_sizes(tables)
+    sizes = [bits.bit_count() for bits in _lower_ideals(tables)]
     assert len(sizes) == len(tables.windows) == 3840
-    assert kept == {}
     for w, size in zip(tables.windows, sizes):
         assert size == len(lower_ideal_left(w)), w
     for k, w in enumerate(tables.windows):
@@ -520,17 +548,14 @@ def searched_ideals(tables, apexes):
 def test_kept_ideals_match_the_tuple_search():
     for n in range(1, 5):
         tables = _GroupTables(n)
-        sizes, _ = _lower_ideal_sizes(tables, range(tables.order))
-        assert sizes == _lower_ideal_sizes(tables)[0], n
         assert all_ideals(tables) == searched_ideals(tables, range(tables.order)), n
     # At rank 5, the apexes the sweep keeps: both of every walked u.
     tables = _GroupTables(5)
     inv, order = tables.inv, tables.order
-    sizes, _ = _lower_ideal_sizes(tables)
+    sizes = [bits.bit_count() for bits in _lower_ideals(tables)]
     apexes = sorted({a for k in range(order // 2) for a in (inv[order - 1 - k], inv[k])
                      if sizes[inv[order - 1 - k]] * sizes[inv[k]] == order})
-    kept_sizes, kept = _lower_ideal_sizes(tables, apexes)
-    assert kept_sizes == sizes
+    kept = {k: bits for k, bits in enumerate(_lower_ideals(tables)) if k in apexes}
     assert sorted(kept) == apexes
     assert [_members(kept[a]) for a in apexes] == searched_ideals(tables, apexes)
 
@@ -583,7 +608,7 @@ def test_theorem_sweep_walks_the_first_half_of_the_table(monkeypatch):
         calls.clear()
         _theorem_cases(n)
         tables = _GroupTables(n)
-        sizes, _ = _lower_ideal_sizes(tables)
+        sizes = [bits.bit_count() for bits in _lower_ideals(tables)]
         index = {w: k for k, w in enumerate(tables.windows)}
         w0 = longest_element(n)
         apex = [index[compose(w0, inverse(u))] for u in tables.windows]
