@@ -7,9 +7,11 @@ its element limit), and 141 (128 + SIGPIPE, quietly) when the reader of
 stdout goes away (`bweyl ... | head -1`).
 
 `main` is the one dispatch path: it builds the parser once per process
-(at its first call, through `build_parser`), parses a window argument
-before any verb runs, so every verb that takes one refuses a malformed
-window, and prints the payload the verb returns with its status.
+(at its first call, through `build_parser`, which declares `--format`
+once for every verb), parses a window argument before any verb runs, so
+every verb that takes one refuses a malformed window, and prints the
+payload the verb returns, led by the normalized window when the verb
+took one, with its status.
 """
 
 from __future__ import annotations
@@ -105,8 +107,7 @@ def _windows_payload(ws) -> list[str]:
 
 
 def _cmd_separable(args) -> tuple[dict, int]:
-    w = args.window
-    return {"window": format_window(w), "separable": is_separable(w)}, 0
+    return {"separable": is_separable(args.window)}, 0
 
 
 def _cmd_minimal_nonsep(args) -> tuple[dict, int]:
@@ -121,18 +122,18 @@ def _cmd_minimal_nonsep(args) -> tuple[dict, int]:
     w = args.window
     if w is None:
         raise ValueError("pass a window or --list --n K")
+    if args.n is not None:
+        raise ValueError("--n needs --list")
     minimal = is_minimal_nonseparable_fast(w)
-    payload = {"window": format_window(w), "minimal_nonseparable": minimal}
+    payload = {"minimal_nonseparable": minimal}
     if minimal:
         payload["inverse_also_minimal"] = inverse_minimality_criterion(w)
     return payload, 0
 
 
 def _cmd_ideal_poly(args) -> tuple[dict, int]:
-    w = args.window
-    poly = ideal_polynomial("lower-right" if args.right else "lower-left", w)
+    poly = ideal_polynomial("lower-right" if args.right else "lower-left", args.window)
     return {
-        "window": format_window(w),
         "order": "right" if args.right else "left",
         "size": poly(1),
         "polynomial": str(poly),
@@ -148,13 +149,12 @@ def _cmd_quotient(args) -> tuple[dict, int]:
     u = args.window
     levels = list(_levels(tuple(-x for x in u)))
     windows = [format_window(x) for level in reversed(levels) for x in sorted(map(inverse, level))]
-    return {"window": format_window(u), "size": len(windows), "windows": windows}, 0
+    return {"size": len(windows), "windows": windows}, 0
 
 
 def _cmd_split_check(args) -> tuple[dict, int]:
-    u = args.window
-    report = splits_with_interval(u)
-    return {"window": format_window(u), **report.to_json()}, 0 if report.is_splitting else 1
+    report = splits_with_interval(args.window)
+    return report.to_json(), 0 if report.is_splitting else 1
 
 
 def _cmd_reduced_words(args) -> tuple[dict, int]:
@@ -162,7 +162,7 @@ def _cmd_reduced_words(args) -> tuple[dict, int]:
     count = reduced_word_count(w)
     if args.list and count > MAX_LISTED_WORDS:
         raise ValueError(f"{count} reduced words exceed the list limit {MAX_LISTED_WORDS}")
-    payload = {"window": format_window(w), "length": length(w), "count": count}
+    payload = {"length": length(w), "count": count}
     if args.list:
         payload["words"] = [
             " ".join(str(i) for i in word) for word in iter_reduced_words(w)
@@ -209,13 +209,6 @@ def _cmd_pattern_set(args) -> tuple[dict, int]:
     return {"name": ps.name, "patterns": [format_window(p) for p in ps.members]}, 0
 
 
-def _add_format(sub) -> None:
-    sub.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (default text)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bweyl",
@@ -226,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("separable", help="test the six-pattern separability")
     p.add_argument("window")
-    _add_format(p)
     p.set_defaults(func=_cmd_separable)
 
     p = subs.add_parser(
@@ -235,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("window", nargs="?")
     p.add_argument("--list", action="store_true", help="list all for rank --n")
     p.add_argument("--n", type=int, default=None)
-    _add_format(p)
     p.set_defaults(func=_cmd_minimal_nonsep)
 
     p = subs.add_parser("ideal-poly", help="rank polynomial of a principal ideal")
@@ -243,45 +234,43 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--left", action="store_true", default=True)
     group.add_argument("--right", action="store_true", default=False)
     p.add_argument("window")
-    _add_format(p)
     p.set_defaults(func=_cmd_ideal_poly)
 
     p = subs.add_parser(
         "quotient", help="generalized quotient of the right interval below u"
     )
     p.add_argument("window")
-    _add_format(p)
     p.set_defaults(func=_cmd_quotient)
 
     p = subs.add_parser(
         "split-check", help="check that (quotient, interval) splits the group"
     )
     p.add_argument("window")
-    _add_format(p)
     p.set_defaults(func=_cmd_split_check)
 
     p = subs.add_parser("reduced-words", help="count (or list) reduced words")
     p.add_argument("window")
     p.add_argument("--list", action="store_true")
-    _add_format(p)
     p.set_defaults(func=_cmd_reduced_words)
 
     p = subs.add_parser("verify", help="run one exhaustive check")
     p.add_argument("check", help=f"one of: {', '.join(sorted(theorems.CHECKS))}")
     p.add_argument("--n", type=int, required=True)
-    _add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("examples", help="print a built-in reference catalog")
     p.add_argument("name", help="b2-separable | b4-st-fibers")
-    _add_format(p)
     p.set_defaults(func=_cmd_examples)
 
     p = subs.add_parser("pattern-set", help="print a named forbidden pattern family")
     p.add_argument("name")
-    _add_format(p)
     p.set_defaults(func=_cmd_pattern_set)
 
+    for p in subs.choices.values():
+        p.add_argument(
+            "--format", choices=("text", "json", "csv"), default="text",
+            help="output format (default text)",
+        )
     return parser
 
 
@@ -294,9 +283,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        if getattr(args, "window", None) is not None:
-            args.window = _window_arg(args.window)
+        window = getattr(args, "window", None)
+        if window is not None:
+            args.window = _window_arg(window)
         payload, status = args.func(args)
+        if window is not None:
+            payload = {"window": format_window(args.window), **payload}
         _emit(payload, args.format)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status

@@ -173,20 +173,8 @@ def inverse(w: Window) -> Window:
 
 
 def left_mul_simple(i: int, w: Window) -> Window:
-    """Compose(simple_reflection(n, i), w) in one pass: act on values."""
-    if i == 0:
-        return tuple(-x if x in (1, -1) else x for x in w)
-    lo, hi = i, i + 1
-    out = []
-    for x in w:
-        a = abs(x)
-        if a == lo:
-            out.append(hi if x > 0 else -hi)
-        elif a == hi:
-            out.append(lo if x > 0 else -lo)
-        else:
-            out.append(x)
-    return tuple(out)
+    """s_i * w, acting on values; raises ValueError on i outside 0..n-1."""
+    return compose(simple_reflection(len(w), i), w)
 
 
 def left_descents(w: Window) -> list[int]:

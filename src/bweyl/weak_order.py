@@ -15,8 +15,8 @@ counts the levels and builds no ideal.  Every ideal is capped at
 MAX_IDEAL_ELEMENTS elements.
 
 `lower_covers_left` and `iter_reduced_words` act on values through
-`left_mul_simple`, the literal definition the fast walks are tested
-against.
+`left_mul_simple`, which is compose with s_i: the literal definition the
+fast walks are tested against.
 """
 
 from __future__ import annotations
@@ -131,33 +131,27 @@ def _negated_inverse(w: Window) -> Window:
 
 
 #: Each kind of ideal at w is the right ideal below image(w), mapped
-#: through image (both maps are involutions; None is the identity).
-_IMAGES: dict[str, Callable[[Window], Window] | None] = {
+#: through image (each map is an involution, the last the identity).
+_IMAGES: dict[str, Callable[[Window], Window]] = {
     "lower-left": inverse,
     "upper-left": _negated_inverse,
-    "lower-right": None,
+    "lower-right": lambda w: w,
 }
-
-
-def _seed(kind: str, w: Window) -> Window:
-    """The apex of the right ideal that the ideal of the given kind at w is mapped from."""
-    image = _IMAGES[kind]
-    return w if image is None else image(w)
 
 
 def _ideal(kind: str, apex: Window) -> Ideal:
     """
-    The ideal of the given kind: the levels below its seed, each mapped
-    through its image as it is produced, so no second full-size set is
-    built.
+    The ideal of the given kind: the levels below the image of its apex,
+    each mapped back through the image as it is produced, so no second
+    full-size set is built.
     """
     image = _IMAGES[kind]
     sizes: list[int] = []
 
     def walk() -> Iterator[Window]:
-        for layer in _levels(_seed(kind, apex)):
+        for layer in _levels(image(apex)):
             sizes.append(len(layer))
-            yield from layer if image is None else map(image, layer)
+            yield from map(image, layer)
 
     elements = frozenset(walk())
     return Ideal(kind, apex, elements, tuple(sizes))
@@ -214,7 +208,7 @@ def ideal_polynomial(kind: str, w: Window) -> Poly:
     """
     if kind not in _IMAGES:
         raise ValueError(f"unknown ideal kind {kind!r}; expected one of {sorted(_IMAGES)}")
-    seed = _seed(kind, validate_window(w))
+    seed = _IMAGES[kind](validate_window(w))
     return _graded(kind, tuple(len(layer) for layer in _levels(seed)))
 
 
@@ -259,11 +253,8 @@ def _reduced_words(w: Window) -> Iterator[tuple[int, ...]]:
 def product_word(n: int, word: tuple[int, ...]) -> Window:
     """
     Multiply out a word of generator indices in rank n.  Raises ValueError
-    on an index outside 0..n-1.
+    on an index outside 0..n-1 (through `left_mul_simple`).
     """
-    for i in word:
-        if i not in range(n):
-            raise ValueError(f"generator index {i} out of range [0, {n - 1}]")
     out = identity(n)
     for i in reversed(word):
         out = left_mul_simple(i, out)

@@ -149,6 +149,42 @@ def test_minimal_nonsep_window_and_listing_exclude_each_other(capsys):
     assert err == "error: pass a window or --list --n K, not both\n"
 
 
+def test_minimal_nonsep_window_with_n_needs_list(capsys):
+    # --n used to be silently ignored next to a window
+    code, out, err = run(capsys, "minimal-nonsep", "-2 3 4 5 1", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --n needs --list\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv, window, status", [
+    (["separable", "  -2  3 4   5 1 "], "-2 3 4 5 1", 0),
+    (["minimal-nonsep", "-2 3  4 5 1"], "-2 3 4 5 1", 0),
+    (["ideal-poly", "--right", " -1   2"], "-1 2", 0),
+    (["quotient", "-1  2 "], "-1 2", 0),
+    (["split-check", "\t-2 1"], "-2 1", 1),
+    (["reduced-words", " 1 -3  2 ", "--list"], "1 -3 2", 0),
+    (["minimal-nonsep", "--list", "--n", "2"], None, 0),
+    (["verify", "theorem", "--n", "2"], None, 0),
+    (["examples", "b2-separable"], None, 0),
+    (["pattern-set", "sep-forbidden-6"], None, 0),
+])
+def test_every_verb_takes_format_and_echoes_a_given_window_first(capsys, argv, window, status, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (status, "")
+    first_line = out.splitlines()[0]
+    if fmt == "json":
+        payload = json.loads(out)
+        if window is None:
+            assert "window" not in payload
+        else:
+            assert next(iter(payload.items())) == ("window", window)
+    elif window is None:
+        assert not first_line.startswith("window")
+    else:
+        assert first_line == {"text": f"window: {window}", "csv": f"window,{window}"}[fmt]
+
+
 def test_examples_catalogs(capsys):
     code, out, _ = run(capsys, "examples", "b2-separable", "--format", "json")
     assert code == 0

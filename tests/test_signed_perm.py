@@ -274,6 +274,13 @@ def test_left_mul_simple_matches_compose():
                 assert left_mul_simple(i, w) == compose(simple_reflection(n, i), w)
 
 
+@pytest.mark.parametrize("i, w", [(5, (1, 2)), (2, (1, 2)), (-1, (1, 2)), (1, (1,))])
+def test_left_mul_simple_rejects_out_of_range_generators(i, w):
+    # left_mul_simple(5, (1, 2)) used to return (1, 2)
+    with pytest.raises(ValueError, match=f"generator index {i} out of range"):
+        left_mul_simple(i, w)
+
+
 def test_inverse_preserves_length_and_maps_negatives():
     for n in (1, 2, 3, 4):
         for w in all_windows(n):
