@@ -146,9 +146,8 @@ def _cmd_ideal_poly(args) -> tuple[dict, int]:
 def _cmd_quotient(args) -> tuple[dict, int]:
     # L(w0 * u^-1) is the inverses of the right ideal below -u: its levels
     # from the identity up, each sorted, are the (length, window) order.
-    u = args.window
-    levels = list(_levels(tuple(-x for x in u)))
-    windows = [format_window(x) for level in reversed(levels) for x in sorted(map(inverse, level))]
+    levels = _levels(tuple(-x for x in args.window))
+    windows = [format_window(x) for level, _ in levels for x in sorted(map(inverse, level))]
     return {"size": len(windows), "windows": windows}, 0
 
 

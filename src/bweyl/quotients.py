@@ -12,9 +12,11 @@ The sweep indexes the group as ints, with one ascent table per
 generator (`_GroupTables`); its ideal DP and its walk both push upward
 in table order, and it walks only the first half of the table: -u sits
 at the mirrored index and splits exactly when u does.  One walk on
-window tuples, one place move per product (`_walk_products`), serves
-the element's check (`splits_with_interval`) and the factorization
-lemma in `theorems`; `_splitting_report` is the literal check.
+window tuples (`_walk_links`) serves the element's check
+(`splits_with_interval`) and the factorization lemma in `theorems`: it
+climbs a right-order search up from the identity and moves each row of
+products from its parent's row, found by the search's parent links, by
+one place move per product.  `_splitting_report` is the literal check.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .signed_perm import (
     validate_window,
 )
 from . import weak_order
-from .weak_order import _levels, interval_right, lower_ideal_left
+from .weak_order import _levels, _place_swaps, interval_right, lower_ideal_left
 
 
 def _require_enumerable(n: int) -> None:
@@ -221,35 +223,34 @@ def splitting_restriction(
     return _splitting_report(Xr, Yr, subgroup, len(subgroup))
 
 
-def _walk_products(tree: list[set[Window]], row: list[Window]) -> set[Window] | None:
+def _walk_links(tree: list[tuple[list[Window], array]], row: list[Window]) -> set[Window] | None:
     """
-    The products o^-1 * t, for o^-1 in row and t in the tree (its levels
-    from the apex down to the identity, as `_levels` yields them), or None
-    at the first one that is not length-additive.  Climbing from the
-    identity, t = t' * s_i for its first right descent i, so the row of t
-    is that of t' with places i, i+1 swapped (place 1 negated for i = 0)
-    in every product, which lengthens it exactly when i is an ascent of
-    it: one comparison per product.
+    The products r * t, for r in row and t in the tree (the levels and
+    links of a `_levels` search, from the identity up), or None at the
+    first one that is not length-additive.  t = t' * s_i for the parent
+    t' and first right descent i its link records, so the row of t is the
+    row of t' with places i, i+1 swapped (place 1 negated for i = 0) in
+    every product, which lengthens it exactly when i is an ascent of it:
+    one comparison per product.
     """
+    n = len(row[0])
+    swaps = _place_swaps(n)
     seen = set(row)
     width = len(row)
-    rows = {e: row for e in tree[-1]}
-    for level in reversed(tree[:-1]):
-        below, rows = rows, {}
-        for t in level:
-            if t[0] < 0:
-                moved = [(-p[0],) + p[1:] for p in below[(-t[0],) + t[1:]] if p[0] > 0]
+    rows = [row]
+    for _, links in tree[1:]:
+        below, rows = rows, []
+        for link in links:
+            parent, i = divmod(link, n)
+            if i:
+                j, swap = i - 1, swaps[i]
+                moved = [swap(p) for p in below[parent] if p[j] < p[i]]
             else:
-                i = 1
-                while t[i - 1] < t[i]:
-                    i += 1
-                j = i - 1
-                moved = [p[:j] + (p[i], p[j]) + p[i + 1:]
-                         for p in below[t[:j] + (t[i], t[j]) + t[i + 1:]] if p[j] < p[i]]
+                moved = [(-p[0],) + p[1:] for p in below[parent] if p[0] > 0]
             if len(moved) < width:
                 return None
             seen.update(moved)
-            rows[t] = moved
+            rows.append(moved)
     return seen
 
 
@@ -266,15 +267,16 @@ def splits_with_interval(u: Window) -> SplittingReport:
     order = group_order(len(u))
     y = list(_levels(u))
     x_inv = list(_levels(tuple(-v for v in u)))
-    counts = (sum(map(len, x_inv)), sum(map(len, y)), order)
+    X_inv = [v for level, _ in x_inv for v in level]
+    Y = [v for level, _ in y for v in level]
+    counts = (len(X_inv), len(Y), order)
     if counts[0] * counts[1] != order:
         return SplittingReport(False, False, counts)
-    tree, other = (y, x_inv) if counts[0] <= counts[1] else (x_inv, y)
-    products = _walk_products(tree, [inverse(v) for level in other for v in level])
+    tree, other = (y, X_inv) if counts[0] <= counts[1] else (x_inv, Y)
+    products = _walk_links(tree, list(map(inverse, other)))
     if products is not None and len(products) == order:
         return SplittingReport(True, True, counts)
-    X = [inverse(v) for level in x_inv for v in level]
-    return _splitting_report(sorted(X), sorted(v for level in y for v in level), None, order)
+    return _splitting_report(sorted(map(inverse, X_inv)), sorted(Y), None, order)
 
 
 class _GroupTables:

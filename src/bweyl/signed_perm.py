@@ -21,6 +21,7 @@ pattern and splitting entry points do, and raise ValueError.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Window = tuple[int, ...]
@@ -137,9 +138,10 @@ def simple_reflection(n: int, i: int) -> Window:
 def all_windows(n: int) -> Iterator[Window]:
     """Iterate over all 2^n * n! windows of rank n in a fixed order."""
     _check_rank(n)
+    patterns = list(itertools.product((1, -1), repeat=n))
     for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(s * p for s, p in zip(signs, perm))
+        for signs in patterns:
+            yield tuple(map(mul, signs, perm))
 
 
 def compose(u: Window, v: Window) -> Window:

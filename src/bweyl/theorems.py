@@ -21,17 +21,11 @@ from .patterns import (
     parabolic_factor,
 )
 from .polynomials import Poly, group_poincare
-from .quotients import _walk_products, quotient_interval_identity, verify_main_theorem
+from .quotients import _walk_links, quotient_interval_identity, verify_main_theorem
 from .reports import LemmaReport, lemma_report, require_rank
 from .root_system import full_system, is_separable_recursive
 from .signed_perm import Window, all_windows, identity, inverse, inversion_mask, length
-from .weak_order import (
-    _graded,
-    _levels,
-    ideal_polynomial,
-    iter_reduced_words,
-    reduced_word_count,
-)
+from .weak_order import _levels, ideal_polynomial, iter_reduced_words, reduced_word_count
 
 
 def _sweep(
@@ -184,14 +178,15 @@ def _factorization_witness(w: Window) -> dict | None:
     wq, wj = parabolic_factor(w, (n - 2, n - 1))
     tree = list(_levels(inverse(wq)))
     j_levels = list(_levels(inverse(wj)))
-    w_levels = list(_levels(inverse(w)))
-    products = _walk_products(tree, [v for level in j_levels for v in level])
-    w_sizes, j_sizes = tuple(map(len, w_levels)), tuple(map(len, j_levels))
+    w_levels = [level for level, _ in _levels(inverse(w))]
+    products = _walk_links(tree, [v for level, _ in j_levels for v in level])
+    # The levels of a lower left ideal's search run up from its bottom.
+    w_sizes = list(map(len, w_levels))
+    j_sizes = [len(level) for level, _ in j_levels]
     split = (products is not None
-             and sum(w_sizes) == sum(map(len, tree)) * sum(j_sizes)
+             and sum(w_sizes) == sum(len(level) for level, _ in tree) * sum(j_sizes)
              and products == set().union(*w_levels))
-    poly_ok = (_graded("lower-left", w_sizes)
-               == Poly.geometric(2 * n - 2) * _graded("lower-left", j_sizes))
+    poly_ok = Poly(w_sizes) == Poly.geometric(2 * n - 2) * Poly(j_sizes)
     return None if split and poly_ok else {"window": w}
 
 

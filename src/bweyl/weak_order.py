@@ -4,15 +4,18 @@ generating polynomials, and reduced word counting.
 
 u <= w on the left exactly when the inversion mask of u is inside that
 of w; the right order is the left order of the inverses.  Ideals are
-searched one length level at a time down the right order, whose lower
-covers are read off the window: w * s_0 < w when w_1 < 0 (negate it),
-w * s_i < w when w_i > w_{i+1} (swap the places).  A lower left ideal is
-the right ideal of w^-1 inverted and, as w0 = -1 is central and x -> -x
-reverses the left order, an upper left ideal is the right ideal of
--w^-1 mapped through y -> -y^-1, each level as it is produced.  An ideal
-keeps its level sizes, which give its rank polynomial; `ideal_polynomial`
-counts the levels and builds no ideal.  Every ideal is capped at
-MAX_IDEAL_ELEMENTS elements.
+searched one length level at a time up the right order from the
+identity, whose upper covers are read off the window: w * s_0 > w when
+w_1 > 0 (negate it), w * s_i > w when w_i < w_{i+1} (swap the places).
+Each adds one root to the inversion set of w^-1, so the search keeps a
+move when that root is one of the apex's, and builds each element once,
+from the parent its first right descent leads down to.  A lower left
+ideal is the right ideal of w^-1 inverted and, as w0 = -1 is central
+and x -> -x reverses the left order, an upper left ideal is the right
+ideal of -w^-1 mapped through y -> -y^-1, each level as it is produced.
+An ideal keeps its level sizes, which give its rank polynomial;
+`ideal_polynomial` counts the levels and builds no ideal.  Every ideal
+is capped at MAX_IDEAL_ELEMENTS elements.
 
 `lower_covers_left` and `iter_reduced_words` act on values through
 `left_mul_simple`, which is compose with s_i: the literal definition the
@@ -21,8 +24,10 @@ fast walks are tested against.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .polynomials import Poly
 from .signed_perm import (
@@ -84,19 +89,6 @@ class Ideal:
         return iter(sorted(self.elements))
 
 
-def _right_covers(v: Window) -> list[Window]:
-    """
-    The elements v * s_i one step below v in the right order: swap each
-    pair of neighbouring places out of order, and negate a negative first
-    entry.
-    """
-    out = [v[:i - 1] + (v[i], v[i - 1]) + v[i + 1:]
-           for i in range(1, len(v)) if v[i - 1] > v[i]]
-    if v[0] < 0:
-        out.append((-v[0],) + v[1:])
-    return out
-
-
 def _check_limit(total: int) -> None:
     """Raise ValueError once a search has reached more than MAX_IDEAL_ELEMENTS elements."""
     if total > MAX_IDEAL_ELEMENTS:
@@ -105,24 +97,66 @@ def _check_limit(total: int) -> None:
         )
 
 
-def _levels(seed: Window) -> Iterator[set[Window]]:
+def _place_swaps(n: int) -> list[Callable[[Window], Window] | None]:
+    """swaps[i](x) = x * s_i for 0 < i < n, x with places i and i+1 swapped; swaps[0] is None."""
+    swaps: list[Callable[[Window], Window] | None] = [None]
+    for i in range(1, n):
+        places = list(range(n))
+        places[i - 1], places[i] = i, i - 1
+        swaps.append(itemgetter(*places))
+    return swaps
+
+
+def _levels(seed: Window) -> Iterator[tuple[list[Window], array]]:
     """
     Everything below seed in the right order, one length level at a time
-    from seed down, by the moves of `_right_covers` written out in place
-    (a cover is one shorter, so duplicates arise only within a level).
-    Raises ValueError once the levels hold more than MAX_IDEAL_ELEMENTS.
+    from the identity up, each level with its parent links: links[pos] is
+    parent_pos * n + i for the element z = parent * s_i at pos, i being
+    the first right descent of z (the identity has no link), so z is built
+    once, from that parent alone.  x * s_i is above x when it swaps
+    neighbouring entries a < b (for i = 0, the entries -x_1 < x_1 at
+    places -1 and 1 of the signed window), and it adds one root to the
+    inversion set of x^-1, that of the values a, b.  x * s_i <= seed
+    exactly when x <= seed and that root is one of seed^-1's, that is,
+    when seed puts b before a.  Raises ValueError once the levels hold
+    more than MAX_IDEAL_ELEMENTS.
     """
-    places = range(1, len(seed))
-    layer = {seed}
+    n = len(seed)
+    place = [0] * (2 * n + 1)  # the signed place of each value in seed
+    for p, a in enumerate(seed, start=1):
+        place[a], place[-a] = p, -p
+    swaps = _place_swaps(n)
+    level = [identity(n)]
+    firsts: Iterable[int] = [n]  # the identity descends nowhere
+    links = array("i")
     total = 0
-    while layer:
-        total += len(layer)
+    while level:
+        total += len(level)
         _check_limit(total)
-        yield layer
-        below = {v[:i - 1] + (v[i], v[i - 1]) + v[i + 1:]
-                 for v in layer for i in places if v[i - 1] > v[i]}
-        below.update([(-v[0],) + v[1:] for v in layer if v[0] < 0])
-        layer = below
+        yield level, links
+        up: list[Window] = []
+        links = array("i")
+        for pos, (x, f) in enumerate(zip(level, firsts)):
+            # x first descends at f, so z = x * s_i first descends at i
+            # (and is built here) for i = 0 and 0 < i < f, and for i = f + 1
+            # when z does not descend at f; for any other i, at f.
+            base = pos * n
+            a = x[0]
+            if a > 0 and place[a] < place[-a]:
+                up.append((-a,) + x[1:])
+                links.append(base)
+            for i in range(1, f):
+                a, b = x[i - 1], x[i]
+                if a < b and place[b] < place[a]:
+                    up.append(swaps[i](x))
+                    links.append(base + i)
+            if f < n - 1:
+                a, b = x[f], x[f + 1]
+                if a < b and place[b] < place[a] and (x[f - 1] if f else 0) < b:
+                    up.append(swaps[f + 1](x))
+                    links.append(base + f + 1)
+        level = up
+        firsts = map(n.__rmod__, links)  # link % n
 
 
 def _negated_inverse(w: Window) -> Window:
@@ -149,12 +183,12 @@ def _ideal(kind: str, apex: Window) -> Ideal:
     sizes: list[int] = []
 
     def walk() -> Iterator[Window]:
-        for layer in _levels(image(apex)):
-            sizes.append(len(layer))
-            yield from map(image, layer)
+        for level, _ in _levels(image(apex)):
+            sizes.append(len(level))
+            yield from map(image, level)
 
     elements = frozenset(walk())
-    return Ideal(kind, apex, elements, tuple(sizes))
+    return Ideal(kind, apex, elements, tuple(reversed(sizes)))
 
 
 def lower_ideal_left(w: Window) -> Ideal:
@@ -175,17 +209,17 @@ def upper_ideal_left(w: Window) -> Ideal:
 
 
 def interval_right(u: Window) -> Ideal:
-    """All x <= u in the right order, by downward search through right covers."""
+    """All x <= u in the right order, by upward search from the identity."""
     return _ideal("lower-right", validate_window(u))
 
 
-def _graded(kind: str, sizes: tuple[int, ...]) -> Poly:
+def _graded(kind: str, sizes: list[int]) -> Poly:
     """
-    Level sizes as a polynomial graded from the bottom of the ideal: an
-    upper ideal's levels already run up from its bottom, a lower ideal's
-    run down from its top.
+    The level sizes of a search as a polynomial graded from the bottom of
+    the ideal: a lower ideal's levels run up from its bottom, an upper
+    ideal's (images of the levels) down from its top.
     """
-    return Poly(sizes if kind == "upper-left" else sizes[::-1])
+    return Poly(sizes[::-1] if kind == "upper-left" else sizes)
 
 
 def rank_polynomial(ideal: Ideal) -> Poly:
@@ -194,7 +228,7 @@ def rank_polynomial(ideal: Ideal) -> Poly:
     bottom of the ideal (for upper ideals the grading is shifted so the
     generating element sits in rank zero), read off its level sizes.
     """
-    return _graded(ideal.kind, ideal.level_sizes)
+    return _graded(ideal.kind, ideal.level_sizes[::-1])
 
 
 def ideal_polynomial(kind: str, w: Window) -> Poly:
@@ -209,7 +243,7 @@ def ideal_polynomial(kind: str, w: Window) -> Poly:
     if kind not in _IMAGES:
         raise ValueError(f"unknown ideal kind {kind!r}; expected one of {sorted(_IMAGES)}")
     seed = _IMAGES[kind](validate_window(w))
-    return _graded(kind, tuple(len(layer) for layer in _levels(seed)))
+    return _graded(kind, [len(level) for level, _ in _levels(seed)])
 
 
 def reduced_word_count(w: Window) -> int:
@@ -222,12 +256,19 @@ def reduced_word_count(w: Window) -> int:
     2
     """
     w = validate_window(w)
+    places = range(1, len(w))
+    swaps = _place_swaps(len(w))
     level = {w: 1}
     total = 1
     for _ in range(length(w)):
         below: dict[Window, int] = {}
         for x, paths in level.items():
-            for y in _right_covers(x):
+            for i in places:
+                if x[i - 1] > x[i]:
+                    y = swaps[i](x)
+                    below[y] = below.get(y, 0) + paths
+            if x[0] < 0:
+                y = (-x[0],) + x[1:]
                 below[y] = below.get(y, 0) + paths
         level = below
         total += len(level)

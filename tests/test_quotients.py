@@ -16,7 +16,7 @@ from bweyl.quotients import (
     _members,
     _splitting_report,
     _theorem_cases,
-    _walk_products,
+    _walk_links,
     quotient_interval_identity,
     generalized_quotient,
     is_splitting,
@@ -195,7 +195,7 @@ def test_splitting_report_matches_length_scan():
 
 def walk_splits(tree, row, order):
     """The split-check verdict on the walk: additive products, `order` of them."""
-    products = _walk_products(tree, row)
+    products = _walk_links(tree, row)
     return products is not None and len(products) == order
 
 
@@ -212,8 +212,8 @@ def test_walk_core_matches_literal_report_on_every_size_matched_pair():
         ideals = all_ideals(tables)
         index = {w: k for k, w in enumerate(tables.windows)}
         levels = {w: list(_levels(w)) for w in all_windows(n)}
-        sizes = {w: sum(map(len, ls)) for w, ls in levels.items()}
-        flat = {w: [v for level in ls for v in level] for w, ls in levels.items()}
+        sizes = {w: sum(len(level) for level, _ in ls) for w, ls in levels.items()}
+        flat = {w: [v for level, _ in ls for v in level] for w, ls in levels.items()}
         seen = fails = 0
         for a in levels:
             for b in levels:
@@ -269,7 +269,7 @@ def test_walk_core_checks_additivity_on_arbitrary_rows():
         group = sorted(all_windows(n))
         for b in group:
             tree = list(_levels(b))
-            Y = [v for level in tree for v in level]
+            Y = [v for level, _ in tree for v in level]
             if order % len(Y):
                 continue
             for _ in range(20):

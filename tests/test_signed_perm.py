@@ -1,7 +1,7 @@
 """Core window arithmetic, checked against a signed permutation-matrix oracle."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -105,6 +105,17 @@ def test_group_order_and_enumeration():
         assert len(elems) == size
         assert len(set(elems)) == size
         assert all(is_window(w) for w in elems)
+
+
+def test_enumeration_order_is_permutations_then_sign_patterns():
+    # The sweeps and their reports list windows in this order.
+    for n in range(1, 7):
+        expected = [
+            tuple(s * p for s, p in zip(signs, perm))
+            for perm in permutations(range(1, n + 1))
+            for signs in product((1, -1), repeat=n)
+        ]
+        assert list(all_windows(n)) == expected, n
 
 
 # -------------------------------------------------------------- composition

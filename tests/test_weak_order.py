@@ -2,8 +2,9 @@
 
 import random
 import re
+from array import array
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import factorial, prod
 
 import pytest
@@ -214,6 +215,79 @@ def test_ideals_match_left_cover_search_through_rank_five():
                 assert ideal.level_sizes == tuple(map(len, levels)), (build.__name__, w)
 
 
+def _right_move(x, i):
+    """x * s_i: place 1 negated for i = 0, places i and i+1 swapped otherwise."""
+    if i == 0:
+        return (-x[0],) + x[1:]
+    return x[:i - 1] + (x[i], x[i - 1]) + x[i + 1:]
+
+
+def _first_descent(z):
+    """The first right descent of z, or None for the identity."""
+    return next((j for j in range(len(z)) if (z[j - 1] if j else 0) > z[j]), None)
+
+
+def _root_bit(n, a, b):
+    """
+    The bit of the root that x * s_i adds to the inversion set of x^-1
+    when it swaps the values a < b: e_b (bit b-1) when a = -b, from s_0;
+    else, with p < q the magnitudes and k the index of the pair (p, q),
+    -e_p + e_q (bit n+2k) when a, b share a sign and e_p + e_q (bit
+    n+2k+1) otherwise.
+    """
+    if a == -b:
+        return b - 1
+    p, q = sorted((abs(a), abs(b)))
+    k = (p - 1) * (2 * n - p) // 2 + q - p - 1
+    return n + 2 * k + ((a < 0) != (b < 0))
+
+
+def test_an_upward_move_adds_the_root_of_the_values_it_swaps():
+    for n in range(1, 7):
+        masks = {w: inversion_mask(inverse(w)) for w in all_windows(n)}
+        moves = 0
+        for x, mask in masks.items():
+            for i in range(n):
+                a, b = (-x[0], x[0]) if i == 0 else (x[i - 1], x[i])
+                if a < b:
+                    z = _right_move(x, i)
+                    assert masks[z] ^ mask == 1 << _root_bit(n, a, b), (x, i)
+                    assert not mask >> _root_bit(n, a, b) & 1, (x, i)
+                    moves += 1
+        assert moves == len(masks) * n // 2  # each s_i ascends from half the group
+
+
+def test_a_seed_has_the_root_of_a_b_exactly_when_it_puts_b_before_a():
+    # The search keeps a move that swaps a < b when seed puts b first in
+    # signed places, the value v at place p and -v at -p.
+    for n in range(1, 6):
+        for seed in all_windows(n):
+            mask = inversion_mask(inverse(seed))
+            place = {}
+            for p, v in enumerate(seed, start=1):
+                place[v], place[-v] = p, -p
+            values = sorted(place)
+            for a, b in combinations(values, 2):
+                has_root = bool(mask >> _root_bit(n, a, b) & 1)
+                assert has_root == (place[b] < place[a]), (seed, a, b)
+
+
+def test_upward_search_builds_each_element_once_from_its_first_descent_parent():
+    for n in range(1, 6):
+        for seed in all_windows(n):
+            levels = list(weak_order._levels(seed))
+            elements = [z for level, _ in levels for z in level]
+            assert len(elements) == len(set(elements)), seed
+            assert levels[0] == ([identity(n)], array("i")), seed
+            for k, (level, links) in enumerate(levels[1:], start=1):
+                assert all(length(z) == k for z in level), (seed, k)
+                assert len(links) == len(level), (seed, k)
+                for z, link in zip(level, links):
+                    parent, i = divmod(link, n)
+                    assert i == _first_descent(z), (seed, z)
+                    assert levels[k - 1][0][parent] == _right_move(z, i), (seed, z)
+
+
 def test_upper_ideal_polynomial_is_the_reversed_lower_one_through_w0():
     # w -> w0 * w reverses the left order, so P_U(w) is P_L(w0 * w) reversed
     for n in (2, 3, 4):
@@ -317,6 +391,13 @@ def test_ideal_element_budget(monkeypatch):
     with pytest.raises(ValueError, match="element limit 10: 16 elements reached"):
         lower_ideal_left(longest_element(3))
     assert len(upper_ideal_left(longest_element(3))) == 1
+    # The search counts up from the identity: the ideal below
+    # (-2, 3, 4, 5, 1) has levels 1, 2, 2, 2, 1, 1 from its bottom, so the
+    # running total passes 4 at 5 (from the top it would pass at 6).
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 4)
+    for build in (lower_ideal_left, lambda w: ideal_polynomial("lower-left", w)):
+        with pytest.raises(ValueError, match="element limit 4: 5 elements reached"):
+            build((-2, 3, 4, 5, 1))
 
 
 def test_reduced_word_count_element_budget(monkeypatch):
