@@ -22,12 +22,8 @@ from .quotients import (
     quotient_interval_identity,
     generalized_quotient,
     is_splitting,
-    minimal_coset_representatives,
-    parabolic_subgroup,
     quotient_of_interval,
     splits_with_interval,
-    splitting_restriction,
-    splitting_transport,
     verify_main_theorem,
 )
 from .reports import LemmaReport, SplittingReport

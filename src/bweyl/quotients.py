@@ -16,7 +16,8 @@ window tuples (`_walk_links`) serves the element's check
 (`splits_with_interval`) and the factorization lemma in `theorems`: it
 climbs a right-order search up from the identity and moves each row of
 products from its parent's row, found by the search's parent links, by
-one place move per product.  `_splitting_report` is the literal check.
+one place move per product.  `is_splitting` is the public literal check:
+it checks every pair in `_splitting_report`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
-from .patterns import _separable, parabolic_factor
+from .patterns import _separable
 from .reports import LemmaReport, SplittingReport, lemma_report, require_rank
 from .signed_perm import (
     Window,
@@ -35,7 +36,6 @@ from .signed_perm import (
     compose,
     format_window,
     group_order,
-    identity,
     inverse,
     inversion_mask,
     longest_element,
@@ -44,13 +44,6 @@ from .signed_perm import (
 )
 from . import weak_order
 from .weak_order import _levels, _place_swaps, interval_right, lower_ideal_left
-
-
-def _require_enumerable(n: int) -> None:
-    """ValueError before a scan of the rank-n group when it outgrows the ideal limit."""
-    if group_order(n) > weak_order.MAX_IDEAL_ELEMENTS:
-        raise ValueError(f"rank-{n} group exceeds the element limit "
-                         f"{weak_order.MAX_IDEAL_ELEMENTS}: {group_order(n)} elements")
 
 
 @lru_cache(maxsize=2)
@@ -63,11 +56,15 @@ def generalized_quotient(U: Iterable[Window], n: int) -> frozenset[Window]:
     """
     The exact filter {w : length(w u) = length(w) + length(u) for all u in U}:
     w is kept when its inversion mask misses the OR of the masks of u^-1.
+    ValueError when the rank-n group outgrows the ideal limit.
     """
     members = set(U)
     if not members:
         raise ValueError("generalized quotient of an empty set is degenerate")
-    _require_enumerable(n)
+    order = group_order(n)
+    if order > weak_order.MAX_IDEAL_ELEMENTS:
+        raise ValueError(f"rank-{n} group exceeds the element limit "
+                         f"{weak_order.MAX_IDEAL_ELEMENTS}: {order} elements")
     masks = _group_masks(n)
     strays = members - masks.keys()
     if strays:
@@ -123,104 +120,20 @@ def _splitting_report(
     return SplittingReport(True, True, counts)
 
 
-def _sorted_factors(
-    X: Iterable[Window], Y: Iterable[Window], n: int | None = None
-) -> tuple[list[Window], list[Window]]:
-    """
-    The distinct elements of X and of Y, each sorted.  ValueError on a
-    non-window, or on a window whose rank is not n (by default the rank of
-    the first window, X before Y).
-    """
-    Xs, Ys = (sorted({validate_window(w) for w in ws}) for ws in (X, Y))
-    for w in Xs + Ys:
-        if n is None:
-            n = len(w)
-        if len(w) != n:
-            raise ValueError(f"rank mismatch: {format_window(w)} in rank-{n} group")
-    return Xs, Ys
-
-
 def is_splitting(
     X: Iterable[Window], Y: Iterable[Window], n: int
 ) -> SplittingReport:
     """
     Whether multiplication X x Y -> rank-n group is length-additive and
     bijective.  Fails fast on the cardinality check #X * #Y = 2^n n!.
+    ValueError on a bad rank, a non-window, or a window not of rank n.
     """
-    Xs, Ys = _sorted_factors(X, Y, n)
-    return _splitting_report(Xs, Ys, None, group_order(n))
-
-
-def _greatest(Zs: Iterable[Window]) -> Window | None:
-    """
-    The greatest element of Zs in the left order (containment of masks):
-    the one whose mask is the union of all of theirs, or None.
-    """
-    by_mask = {inversion_mask(z): z for z in Zs}
-    return by_mask.get(reduce(or_, by_mask, 0))
-
-
-def splitting_transport(
-    X: Iterable[Window], Y: Iterable[Window]
-) -> tuple[frozenset[Window], frozenset[Window]]:
-    """
-    Produce a new splitting from one: with x0 the greatest element of X in
-    the left order, map X to X * x0^-1 and Y to x0 * Y * w0.  Raises if X
-    has no greatest element, or Y none in the right order, or if the two
-    fail x0 * y0 = w0 (any of these means the input was not a splitting).
-    """
-    Xs, Ys = _sorted_factors(X, Y)
-    if not Xs or not Ys:
-        raise ValueError("transport of an empty factor is degenerate")
-    n = len(Xs[0])
-    x0 = _greatest(Xs)
-    if x0 is None:
-        raise ValueError("no unique left-maximal element; not a splitting")
-    w0 = longest_element(n)
-    y0_inv = _greatest(map(inverse, Ys))  # right order: left order of inverses
-    if y0_inv is None or compose(x0, inverse(y0_inv)) != w0:
-        raise ValueError("maximal elements do not multiply to w0; not a splitting")
-    x0_inv = inverse(x0)
-    new_x = frozenset(compose(z, x0_inv) for z in Xs)
-    new_y = frozenset(compose(x0, compose(z, w0)) for z in Ys)
-    return new_x, new_y
-
-
-def parabolic_subgroup(n: int, removed: Iterable[int]) -> frozenset[Window]:
-    """Elements of the parabolic subgroup: trivial quotient factor."""
-    _require_enumerable(n)
-    removed = tuple(sorted(set(removed)))
-    e = identity(n)
-    return frozenset(
-        w for w in all_windows(n) if parabolic_factor(w, removed)[0] == e
-    )
-
-
-def minimal_coset_representatives(n: int, removed: Iterable[int]) -> frozenset[Window]:
-    """Elements equal to their own quotient factor."""
-    _require_enumerable(n)
-    removed = tuple(sorted(set(removed)))
-    return frozenset(
-        w for w in all_windows(n) if parabolic_factor(w, removed)[0] == w
-    )
-
-
-def splitting_restriction(
-    X: Iterable[Window], Y: Iterable[Window], removed: Iterable[int]
-) -> SplittingReport:
-    """
-    Restrict a splitting to the parabolic subgroup fixed by deleting the
-    generators in removed, and re-verify the splitting there (with the
-    subgroup's own cardinality and its own universe of products).
-    """
-    Xs, Ys = _sorted_factors(X, Y)
-    if not Xs:
-        raise ValueError("restriction of an empty factor is degenerate")
-    n = len(Xs[0])
-    subgroup = parabolic_subgroup(n, removed)
-    Xr = [w for w in Xs if w in subgroup]
-    Yr = [w for w in Ys if w in subgroup]
-    return _splitting_report(Xr, Yr, subgroup, len(subgroup))
+    order = group_order(n)
+    Xs, Ys = (sorted({validate_window(w) for w in ws}) for ws in (X, Y))
+    for w in Xs + Ys:
+        if len(w) != n:
+            raise ValueError(f"rank mismatch: {format_window(w)} in rank-{n} group")
+    return _splitting_report(Xs, Ys, None, order)
 
 
 def _walk_links(tree: list[tuple[list[Window], array]], row: list[Window]) -> set[Window] | None:
@@ -300,11 +213,9 @@ class _GroupTables:
         self.inv = array("i", map(index.__getitem__, self.windows))
         sentinel = self.order
         self.up = []
-        for i in range(n):
+        for i, swap in enumerate(_place_swaps(n)):
             if i:
-                places = list(range(n))
-                places[i - 1], places[i] = i, i - 1
-                moved = map(itemgetter(*places), inverses)
+                moved = map(swap, inverses)
             else:
                 moved = ((-v[0],) + v[1:] for v in inverses)
             # A cover is one length away, so in length order it is longer

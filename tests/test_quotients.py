@@ -1,4 +1,4 @@
-"""Generalized quotients, interval identity, splittings, transports."""
+"""Generalized quotients, interval identity, splittings, the theorem sweep."""
 
 import random
 from array import array
@@ -11,7 +11,6 @@ from bweyl.patterns import is_separable, parabolic_factor
 from bweyl.polynomials import from_counts, group_poincare
 from bweyl.quotients import (
     _GroupTables,
-    _greatest,
     _lower_ideals,
     _members,
     _splitting_report,
@@ -20,12 +19,8 @@ from bweyl.quotients import (
     quotient_interval_identity,
     generalized_quotient,
     is_splitting,
-    minimal_coset_representatives,
-    parabolic_subgroup,
     quotient_of_interval,
     splits_with_interval,
-    splitting_restriction,
-    splitting_transport,
     verify_main_theorem,
 )
 from bweyl.reports import SplittingReport
@@ -101,9 +96,20 @@ def test_interval_identity_trivial_cases():
 # ------------------------------------------------------------------- splittings
 
 
+def parabolic_pair(n, removed):
+    """
+    The minimal coset representatives (windows equal to their own quotient
+    factor) and the parabolic subgroup (trivial quotient factor) for the
+    generators in removed.
+    """
+    e = identity(n)
+    factors = {w: parabolic_factor(w, removed)[0] for w in all_windows(n)}
+    return ({w for w, q in factors.items() if q == w},
+            {w for w, q in factors.items() if q == e})
+
+
 def test_parabolic_pair_is_splitting():
-    X = minimal_coset_representatives(3, (1,))
-    Y = parabolic_subgroup(3, (1,))
+    X, Y = parabolic_pair(3, (1,))
     report = is_splitting(X, Y, 3)
     assert report.is_splitting and report.size_check
     assert report.counts[0] * report.counts[1] == report.counts[2] == 48
@@ -112,8 +118,7 @@ def test_parabolic_pair_is_splitting():
 def test_every_parabolic_pair_splits():
     for n in (2, 3, 4):
         for removed in subsets(range(n)):
-            X = minimal_coset_representatives(n, removed)
-            Y = parabolic_subgroup(n, removed)
+            X, Y = parabolic_pair(n, removed)
             assert is_splitting(X, Y, n).is_splitting, (n, removed)
 
 
@@ -314,11 +319,7 @@ def test_split_check_rejects_malformed_windows():
 
 @pytest.mark.parametrize("call", [
     lambda: generalized_quotient({identity(3)}, 3),
-    lambda: parabolic_subgroup(3, (1,)),
-    lambda: minimal_coset_representatives(3, (1,)),
-    lambda: splitting_restriction({identity(3)}, {identity(3)}, (1,)),
-], ids=["generalized_quotient", "parabolic_subgroup", "minimal_coset_representatives",
-        "splitting_restriction"])
+], ids=["generalized_quotient"])
 def test_group_enumeration_budget(monkeypatch, call):
     # B_3 has 48 elements: allowed at a bound of 48, refused below it
     monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 48)
@@ -333,16 +334,19 @@ def test_splitting_rank_mismatch_rejected():
         is_splitting({identity(2)}, {identity(3)}, 3)
 
 
+def test_splitting_checks_the_rank_before_the_windows():
+    # a bad rank is named as such, not as a mismatch with every window
+    with pytest.raises(ValueError, match="rank must be a positive integer, got 0"):
+        is_splitting([(1,)], [(1,)], 0)
+
+
 def test_every_splitting_entry_point_rejects_mixed_ranks():
     # a window of another rank is an error, never silently left out
     u = (-1, 2, 3)
     X = quotient_of_interval(u)
     Y = interval_right(u).elements | {(1, 2)}
-    for call in (lambda: is_splitting(X, Y, 3),
-                 lambda: splitting_transport(X, Y),
-                 lambda: splitting_restriction(X, Y, ())):
-        with pytest.raises(ValueError, match="rank mismatch: 1 2 in rank-3 group"):
-            call()
+    with pytest.raises(ValueError, match="rank mismatch: 1 2 in rank-3 group"):
+        is_splitting(X, Y, 3)
 
 
 def test_splitting_implies_poincare_factorization():
@@ -356,100 +360,6 @@ def test_splitting_implies_poincare_factorization():
                 fx = from_counts([length(x) for x in X])
                 fy = from_counts([length(y) for y in Y])
                 assert fx * fy == target
-
-
-# ------------------------------------------------------------------- transport
-
-
-def test_transport_of_parabolic_splitting():
-    X = minimal_coset_representatives(2, (0,))
-    Y = parabolic_subgroup(2, (0,))
-    X2, Y2 = splitting_transport(X, Y)
-    assert is_splitting(X2, Y2, 2).is_splitting
-    X3, Y3 = splitting_transport(X2, Y2)
-    assert is_splitting(X3, Y3, 2).is_splitting
-
-
-def test_transport_of_degenerate_splitting():
-    n = 2
-    whole = frozenset(all_windows(n))
-    X2, Y2 = splitting_transport(whole, {identity(n)})
-    assert is_splitting(X2, Y2, n).is_splitting
-    assert X2 == whole
-
-
-def test_transport_rejects_non_splitting():
-    n = 2
-    # two left-maximal elements: the two atoms
-    X = {identity(n), (-1, 2), (2, 1)}
-    with pytest.raises(ValueError):
-        splitting_transport(X, {identity(n)})
-    # a unique longest element (-2, 1) that is not above (2, 1)
-    with pytest.raises(ValueError):
-        splitting_transport({identity(n), (2, 1), (-2, 1)}, {identity(n)})
-    # X is fine, but Y has two right-maximal elements: the two atoms
-    with pytest.raises(ValueError, match="do not multiply"):
-        splitting_transport({identity(n)}, X)
-
-
-def test_greatest_element_matches_the_length_definition():
-    # u <= w on the left iff l(w) = l(u) + l(w u^-1); every nonempty subset
-    # of the rank-2 group
-    def below(u, w):
-        return length(w) == length(u) + length(compose(w, inverse(u)))
-
-    group = sorted(all_windows(2))
-    for Z in map(list, subsets(group)):
-        if Z:
-            tops = [g for g in Z if all(below(z, g) for z in Z)]
-            assert _greatest(Z) == (tops[0] if tops else None), Z
-
-
-def test_transport_and_restriction_reject_empty_factors():
-    with pytest.raises(ValueError):
-        splitting_transport([], [])
-    with pytest.raises(ValueError):
-        splitting_restriction([], [], ())
-
-
-def test_transport_closure_exhaustive_rank_two():
-    for u in all_windows(2):
-        report = splits_with_interval(u)
-        if not report.is_splitting:
-            continue
-        X = quotient_of_interval(u)
-        Y = interval_right(u).elements
-        X2, Y2 = splitting_transport(X, Y)
-        assert is_splitting(X2, Y2, 2).is_splitting
-
-
-# ------------------------------------------------------------------ restriction
-
-
-def test_restriction_of_parabolic_splitting():
-    X = minimal_coset_representatives(3, (1,))
-    Y = parabolic_subgroup(3, (1,))
-    for removed in subsets(range(3)):
-        report = splitting_restriction(X, Y, removed)
-        assert report.is_splitting, removed
-
-
-def test_restriction_with_nothing_removed_is_original():
-    u = (-1, 2, 3)
-    X = quotient_of_interval(u)
-    Y = interval_right(u).elements
-    full = is_splitting(X, Y, 3)
-    restricted = splitting_restriction(X, Y, ())
-    assert restricted.is_splitting == full.is_splitting
-    assert restricted.counts == full.counts
-
-
-def test_restriction_of_interval_splitting():
-    u = (-1, 2, 3)
-    X = quotient_of_interval(u)
-    Y = interval_right(u).elements
-    report = splitting_restriction(X, Y, (2,))
-    assert report.is_splitting
 
 
 # ---------------------------------------------------------------- main theorem

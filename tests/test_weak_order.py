@@ -12,12 +12,7 @@ import pytest
 from bweyl import weak_order
 from bweyl.patterns import parabolic_factor
 from bweyl.polynomials import Poly, from_counts
-from bweyl.quotients import (
-    is_splitting,
-    quotient_of_interval,
-    splitting_restriction,
-    splitting_transport,
-)
+from bweyl.quotients import is_splitting, quotient_of_interval
 from bweyl.root_system import inversion_roots
 from bweyl.signed_perm import (
     all_windows,
@@ -525,16 +520,13 @@ def test_product_word_rejects_out_of_range_generators():
     (lambda: list(iter_reduced_words((2, 2))), "(2, 2)"),
     (lambda: parabolic_factor((2, 2), (1,)), "(2, 2)"),
     (lambda: is_splitting([(1, 1), (2, 2)], [(1, 2)], 2), "(1, 1)"),
-    (lambda: splitting_transport([(1, 2), (1, 1)], [(1, 2)]), "(1, 1)"),
-    (lambda: splitting_restriction([(1, 2)], [(3, 1)], ()), "(3, 1)"),
     (lambda: quotient_of_interval((1, 1)), "(1, 1)"),
     (lambda: inversion_roots((1, 1)), "(1, 1)"),
     (lambda: validate_window((True, 2)), "(True, 2)"),
     (lambda: ideal_polynomial("lower-left", (1, 1)), "(1, 1)"),
 ], ids=["left_leq", "right_leq", "lower_covers_left", "reduced_word_count",
-        "iter_reduced_words", "parabolic_factor", "is_splitting", "splitting_transport",
-        "splitting_restriction", "quotient_of_interval", "inversion_roots", "bool_entry",
-        "ideal_polynomial"])
+        "iter_reduced_words", "parabolic_factor", "is_splitting", "quotient_of_interval",
+        "inversion_roots", "bool_entry", "ideal_polynomial"])
 def test_public_window_arguments_are_validated(call, bad):
     # each used to answer silently (or raise KeyError), some naming a
     # window derived from the input rather than the input
