@@ -38,18 +38,25 @@ from .signed_perm import (
     group_order,
     inverse,
     inversion_mask,
-    longest_element,
     sort_windows,
     validate_window,
 )
 from . import weak_order
-from .weak_order import _levels, _place_swaps, interval_right, lower_ideal_left
+from .weak_order import _levels, _place_swaps
 
 
 @lru_cache(maxsize=2)
 def _group_masks(n: int) -> dict[Window, int]:
     """Every rank-n window with its inversion mask."""
     return {w: inversion_mask(w) for w in all_windows(n)}
+
+
+def _require_enumerable(n: int) -> None:
+    """ValueError when the rank-n group has more than MAX_IDEAL_ELEMENTS elements."""
+    order = group_order(n)
+    if order > weak_order.MAX_IDEAL_ELEMENTS:
+        raise ValueError(f"rank-{n} group exceeds the element limit "
+                         f"{weak_order.MAX_IDEAL_ELEMENTS}: {order} elements")
 
 
 def generalized_quotient(U: Iterable[Window], n: int) -> frozenset[Window]:
@@ -61,10 +68,7 @@ def generalized_quotient(U: Iterable[Window], n: int) -> frozenset[Window]:
     members = set(U)
     if not members:
         raise ValueError("generalized quotient of an empty set is degenerate")
-    order = group_order(n)
-    if order > weak_order.MAX_IDEAL_ELEMENTS:
-        raise ValueError(f"rank-{n} group exceeds the element limit "
-                         f"{weak_order.MAX_IDEAL_ELEMENTS}: {order} elements")
+    _require_enumerable(n)
     masks = _group_masks(n)
     strays = members - masks.keys()
     if strays:
@@ -75,9 +79,9 @@ def generalized_quotient(U: Iterable[Window], n: int) -> frozenset[Window]:
 
 def quotient_of_interval(u: Window) -> frozenset[Window]:
     """The generalized quotient of the right interval below u: L(w0 * u^-1)."""
-    u = validate_window(u)
-    w0 = longest_element(len(u))
-    return lower_ideal_left(compose(w0, inverse(u))).elements
+    # the inverses of the right ideal below (w0 * u^-1)^-1 = -u
+    levels = _levels(tuple(-x for x in validate_window(u)))
+    return frozenset(inverse(x) for level, _ in levels for x in level)
 
 
 def quotient_interval_identity(u: Window) -> bool:
@@ -85,7 +89,7 @@ def quotient_interval_identity(u: Window) -> bool:
     Check on one element that the exact quotient filter of the right
     interval below u equals the left interval below w0 * u^-1.
     """
-    U = interval_right(u).elements
+    U = [x for level, _ in _levels(validate_window(u)) for x in level]
     return generalized_quotient(U, len(u)) == quotient_of_interval(u)
 
 
@@ -185,6 +189,7 @@ def splits_with_interval(u: Window) -> SplittingReport:
     counts = (len(X_inv), len(Y), order)
     if counts[0] * counts[1] != order:
         return SplittingReport(False, False, counts)
+    _require_enumerable(len(u))
     tree, other = (y, X_inv) if counts[0] <= counts[1] else (x_inv, Y)
     products = _walk_links(tree, list(map(inverse, other)))
     if products is not None and len(products) == order:

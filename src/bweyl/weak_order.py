@@ -13,9 +13,9 @@ from the parent its first right descent leads down to.  A lower left
 ideal is the right ideal of w^-1 inverted and, as w0 = -1 is central
 and x -> -x reverses the left order, an upper left ideal is the right
 ideal of -w^-1 mapped through y -> -y^-1, each level as it is produced.
-An ideal keeps its level sizes, which give its rank polynomial;
-`ideal_polynomial` counts the levels and builds no ideal.  Every ideal
-is capped at MAX_IDEAL_ELEMENTS elements.
+`rank_polynomial` counts the lengths of an ideal's elements;
+`ideal_polynomial` counts the levels of its search and builds no ideal.
+Every ideal is capped at MAX_IDEAL_ELEMENTS elements.
 
 `lower_covers_left` and `iter_reduced_words` act on values through
 `left_mul_simple`, which is compose with s_i: the literal definition the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .polynomials import Poly
+from .polynomials import Poly, from_counts
 from .signed_perm import (
     Window,
     identity,
@@ -68,16 +68,11 @@ def lower_covers_left(w: Window) -> frozenset[Window]:
 
 @dataclass(frozen=True)
 class Ideal:
-    """
-    A principal order ideal, materialized with its generating element and
-    the sizes of its length levels counted outward from the apex (down
-    from the top for the lower ideals, up from the bottom for the upper).
-    """
+    """A principal order ideal, materialized with its generating element."""
 
     kind: str  # "lower-left" | "upper-left" | "lower-right"
     apex: Window
     elements: frozenset[Window]
-    level_sizes: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -159,36 +154,21 @@ def _levels(seed: Window) -> Iterator[tuple[list[Window], array]]:
         firsts = map(n.__rmod__, links)  # link % n
 
 
-def _negated_inverse(w: Window) -> Window:
-    """w0 * w^-1 = -w^-1."""
-    return tuple(-x for x in inverse(w))
-
-
 #: Each kind of ideal at w is the right ideal below image(w), mapped
-#: through image (each map is an involution, the last the identity).
+#: through image (each map is an involution: w -> w^-1, w -> w0 * w^-1 =
+#: -w^-1 and the identity).
 _IMAGES: dict[str, Callable[[Window], Window]] = {
     "lower-left": inverse,
-    "upper-left": _negated_inverse,
+    "upper-left": lambda w: tuple(-x for x in inverse(w)),
     "lower-right": lambda w: w,
 }
 
 
 def _ideal(kind: str, apex: Window) -> Ideal:
-    """
-    The ideal of the given kind: the levels below the image of its apex,
-    each mapped back through the image as it is produced, so no second
-    full-size set is built.
-    """
+    """The levels below the image of apex, each mapped back as it is produced."""
     image = _IMAGES[kind]
-    sizes: list[int] = []
-
-    def walk() -> Iterator[Window]:
-        for level, _ in _levels(image(apex)):
-            sizes.append(len(level))
-            yield from map(image, level)
-
-    elements = frozenset(walk())
-    return Ideal(kind, apex, elements, tuple(reversed(sizes)))
+    levels = _levels(image(apex))
+    return Ideal(kind, apex, frozenset(x for level, _ in levels for x in map(image, level)))
 
 
 def lower_ideal_left(w: Window) -> Ideal:
@@ -213,22 +193,14 @@ def interval_right(u: Window) -> Ideal:
     return _ideal("lower-right", validate_window(u))
 
 
-def _graded(kind: str, sizes: list[int]) -> Poly:
-    """
-    The level sizes of a search as a polynomial graded from the bottom of
-    the ideal: a lower ideal's levels run up from its bottom, an upper
-    ideal's (images of the levels) down from its top.
-    """
-    return Poly(sizes[::-1] if kind == "upper-left" else sizes)
-
-
 def rank_polynomial(ideal: Ideal) -> Poly:
     """
     The rank generating polynomial of an ideal, graded by length from the
     bottom of the ideal (for upper ideals the grading is shifted so the
-    generating element sits in rank zero), read off its level sizes.
+    generating element sits in rank zero), counted from element lengths.
     """
-    return _graded(ideal.kind, ideal.level_sizes[::-1])
+    base = length(ideal.apex) if ideal.kind == "upper-left" else 0
+    return from_counts([length(w) - base for w in ideal.elements])
 
 
 def ideal_polynomial(kind: str, w: Window) -> Poly:
@@ -243,14 +215,17 @@ def ideal_polynomial(kind: str, w: Window) -> Poly:
     if kind not in _IMAGES:
         raise ValueError(f"unknown ideal kind {kind!r}; expected one of {sorted(_IMAGES)}")
     seed = _IMAGES[kind](validate_window(w))
-    return _graded(kind, [len(level) for level, _ in _levels(seed)])
+    sizes = [len(level) for level, _ in _levels(seed)]
+    # An upper ideal's levels are images of the levels below -w^-1: they
+    # run down from its top.
+    return Poly(sizes[::-1] if kind == "upper-left" else sizes)
 
 
 def reduced_word_count(w: Window) -> int:
     """
     The number of reduced words for w, as paths down from w through lower
     covers in the right order (x -> x * s_i), counted one level at a time.
-    The levels are those of interval_right(w), under the same limit.
+    The levels are those of the right ideal below w, under the same limit.
 
     >>> reduced_word_count((-1, -2))
     2

@@ -259,6 +259,12 @@ def test_split_check_over_element_budget_exits_two(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err == "error: ideal exceeds the element limit 10: 16 elements reached\n"
+    # both ideals fit, |X| * |Y| = |W|, but the product walk would hold the whole group
+    monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 47)
+    code, out, err = run(capsys, "split-check", "2 1 3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank-3 group exceeds the element limit 47: 48 elements\n"
 
 
 def test_output_is_deterministic(capsys):

@@ -319,9 +319,12 @@ def test_split_check_rejects_malformed_windows():
 
 @pytest.mark.parametrize("call", [
     lambda: generalized_quotient({identity(3)}, 3),
-], ids=["generalized_quotient"])
+    lambda: splits_with_interval((2, 1, 3)),
+], ids=["generalized_quotient", "splits_with_interval"])
 def test_group_enumeration_budget(monkeypatch, call):
-    # B_3 has 48 elements: allowed at a bound of 48, refused below it
+    # B_3 has 48 elements: allowed at a bound of 48, refused below it.
+    # (2, 1, 3) passes the size check with ideals of 24 and 2 elements,
+    # so only its product walk would hold the whole group.
     monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 48)
     call()
     monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 47)
