@@ -6,7 +6,6 @@ splitting verification at small rank.
 
 from .patterns import (
     PATTERN_SETS,
-    PatternSet,
     contains_pattern,
     inverse_minimality_criterion,
     is_doubly_minimal,
@@ -52,7 +51,6 @@ from .signed_perm import (
     statistic_sets,
 )
 from .weak_order import (
-    Ideal,
     ideal_polynomial,
     interval_right,
     iter_reduced_words,

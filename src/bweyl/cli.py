@@ -200,12 +200,12 @@ def _cmd_examples(args) -> tuple[dict, int]:
 
 
 def _cmd_pattern_set(args) -> tuple[dict, int]:
-    ps = PATTERN_SETS.get(args.name)
-    if ps is None:
+    members = PATTERN_SETS.get(args.name)
+    if members is None:
         raise ValueError(
             f"unknown pattern set {args.name!r}; known: {', '.join(sorted(PATTERN_SETS))}"
         )
-    return {"name": ps.name, "patterns": [format_window(p) for p in ps.members]}, 0
+    return {"name": args.name, "patterns": [format_window(p) for p in members]}, 0
 
 
 def build_parser() -> argparse.ArgumentParser:

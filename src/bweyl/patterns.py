@@ -13,7 +13,6 @@ cores (`_separable`, `_minimal`, ...) on windows they made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count
 from typing import Iterable, Sequence
@@ -44,24 +43,22 @@ INVERSE_QUAD_POS: frozenset[Window] = frozenset([(-1, -4, -2, 3), (1, -4, -2, 3)
 INVERSE_QUAD_NEG: frozenset[Window] = frozenset([(1, 4, 2, -3), (-1, 4, 2, -3)])
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    """A named family of forbidden patterns."""
-
-    name: str
-    members: tuple[Window, ...]
-
-
-PATTERN_SETS: dict[str, PatternSet] = {
-    ps.name: ps
-    for ps in (
-        PatternSet("sep-forbidden-6", SEPARABLE_FORBIDDEN),
-        PatternSet("minnonsep-quad-pos", tuple(sorted(MINNONSEP_QUAD_POS))),
-        PatternSet("minnonsep-quad-neg", tuple(sorted(MINNONSEP_QUAD_NEG))),
-        PatternSet("inverse-quad-pos", tuple(sorted(INVERSE_QUAD_POS))),
-        PatternSet("inverse-quad-neg", tuple(sorted(INVERSE_QUAD_NEG))),
-    )
+#: The named pattern families the CLI lists, each in sorted order.
+PATTERN_SETS: dict[str, tuple[Window, ...]] = {
+    "sep-forbidden-6": SEPARABLE_FORBIDDEN,
+    "minnonsep-quad-pos": tuple(sorted(MINNONSEP_QUAD_POS)),
+    "minnonsep-quad-neg": tuple(sorted(MINNONSEP_QUAD_NEG)),
+    "inverse-quad-pos": tuple(sorted(INVERSE_QUAD_POS)),
+    "inverse-quad-neg": tuple(sorted(INVERSE_QUAD_NEG)),
 }
+
+
+def _check_entries(seq: Sequence[int]) -> None:
+    """Raise ValueError unless every entry is a nonzero int (not a bool)."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in seq):
+        raise ValueError(f"standardization rejects non-int entries: {tuple(seq)!r}")
+    if 0 in seq:
+        raise ValueError("standardization rejects zero entries")
 
 
 def _st(seq: Sequence[int]) -> Window:
@@ -72,13 +69,12 @@ def _st(seq: Sequence[int]) -> Window:
 def st(seq: Sequence[int]) -> Window:
     """
     The unsigned standardization: replace each entry by its 1-based rank.
-    Entries must be nonzero and pairwise distinct (ties are rejected).
+    Entries must be nonzero ints, pairwise distinct (ties are rejected).
 
     >>> st((2, -4, 3, -1))
     (3, 1, 4, 2)
     """
-    if 0 in seq:
-        raise ValueError("standardization rejects zero entries")
+    _check_entries(seq)
     if len(set(seq)) != len(seq):
         raise ValueError(f"standardization rejects repeated values: {tuple(seq)!r}")
     return _st(seq)
@@ -92,13 +88,12 @@ def _sts(seq: Sequence[int]) -> Window:
 def sts(seq: Sequence[int]) -> Window:
     """
     The signed standardization: keep each sign, rank the absolute values.
-    Absolute values must be pairwise distinct.
+    Entries must be nonzero ints with pairwise distinct absolute values.
 
     >>> sts((-5, 2))
     (-2, 1)
     """
-    if 0 in seq:
-        raise ValueError("standardization rejects zero entries")
+    _check_entries(seq)
     if len(set(map(abs, seq))) != len(seq):
         raise ValueError(
             f"signed standardization rejects repeated magnitudes: {tuple(seq)!r}"

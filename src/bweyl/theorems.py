@@ -247,20 +247,30 @@ def check_separable_product_identity(n: int) -> LemmaReport:
     symmetric, unimodal, and multiply to the full length generating
     polynomial of the group.
     """
+    lower: dict[Window, Poly] = {}
+
+    def universe(n: int) -> Iterable[Window]:
+        for w in all_windows(n):
+            if _separable(w):
+                lower[w] = ideal_polynomial("lower-left", w)
+        return lower
+
     def case(w: Window) -> dict | None:
-        lower = ideal_polynomial("lower-left", w)
-        upper = ideal_polynomial("upper-left", w)
+        # The six forbidden patterns are closed under negation, as
+        # sts(-s) = -sts(s), so -w is separable with w; and x -> -x
+        # reverses the left order, so the upper ideal of w is the lower
+        # ideal of -w negated, its polynomial that of -w reversed.
+        upper = lower[tuple(-x for x in w)].reversed()
         ok = (
-            lower * upper == group_poincare(n)
-            and lower.is_symmetric()
-            and lower.is_unimodal()
+            lower[w] * upper == group_poincare(n)
+            and lower[w].is_symmetric()
+            and lower[w].is_unimodal()
             and upper.is_symmetric()
             and upper.is_unimodal()
         )
         return None if ok else {"window": w}
 
-    return _sweep("product-identity", n,
-                  lambda n: (w for w in all_windows(n) if _separable(w)), case)
+    return _sweep("product-identity", n, universe, case)
 
 
 def check_classifier_equivalence(n: int) -> LemmaReport:

@@ -11,11 +11,12 @@ Each adds one root to the inversion set of w^-1, so the search keeps a
 move when that root is one of the apex's, and builds each element once,
 from the parent its first right descent leads down to.  A lower left
 ideal is the right ideal of w^-1 inverted and, as w0 = -1 is central
-and x -> -x reverses the left order, an upper left ideal is the right
-ideal of -w^-1 mapped through y -> -y^-1, each level as it is produced.
-`rank_polynomial` counts the lengths of an ideal's elements;
-`ideal_polynomial` counts the levels of its search and builds no ideal.
-Every ideal is capped at MAX_IDEAL_ELEMENTS elements.
+and x -> -x reverses the left order, an upper left ideal is the lower
+left ideal of -w negated.  The materialized ideals are frozensets of
+windows, kept as test oracles: `rank_polynomial` counts the lengths of
+an ideal's elements from its shortest, and `ideal_polynomial` counts
+the levels of its search and builds no ideal.  Every ideal is capped at
+MAX_IDEAL_ELEMENTS elements.
 
 `lower_covers_left` and `iter_reduced_words` act on values through
 `left_mul_simple`, which is compose with s_i: the literal definition the
@@ -25,7 +26,6 @@ fast walks are tested against.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -64,24 +64,6 @@ def lower_covers_left(w: Window) -> frozenset[Window]:
     """The elements s_i * w one step below w in the left order."""
     w = validate_window(w)
     return frozenset(left_mul_simple(i, w) for i in left_descents(w))
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """A principal order ideal, materialized with its generating element."""
-
-    kind: str  # "lower-left" | "upper-left" | "lower-right"
-    apex: Window
-    elements: frozenset[Window]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, w: Window) -> bool:
-        return w in self.elements
-
-    def __iter__(self) -> Iterator[Window]:
-        return iter(sorted(self.elements))
 
 
 def _check_limit(total: int) -> None:
@@ -155,23 +137,20 @@ def _levels(seed: Window) -> Iterator[tuple[list[Window], array]]:
 
 
 #: Each kind of ideal at w is the right ideal below image(w), mapped
-#: through image (each map is an involution: w -> w^-1, w -> w0 * w^-1 =
-#: -w^-1 and the identity).
+#: through image (each map is an involution: w -> w^-1 and the identity).
 _IMAGES: dict[str, Callable[[Window], Window]] = {
     "lower-left": inverse,
-    "upper-left": lambda w: tuple(-x for x in inverse(w)),
     "lower-right": lambda w: w,
 }
 
 
-def _ideal(kind: str, apex: Window) -> Ideal:
+def _ideal(kind: str, apex: Window) -> frozenset[Window]:
     """The levels below the image of apex, each mapped back as it is produced."""
     image = _IMAGES[kind]
-    levels = _levels(image(apex))
-    return Ideal(kind, apex, frozenset(x for level, _ in levels for x in map(image, level)))
+    return frozenset(x for level, _ in _levels(image(apex)) for x in map(image, level))
 
 
-def lower_ideal_left(w: Window) -> Ideal:
+def lower_ideal_left(w: Window) -> frozenset[Window]:
     """
     All u <= w in the left order: u^-1 <= w^-1 in the right order, so
     they are the inverses of the right ideal of w^-1.
@@ -179,35 +158,38 @@ def lower_ideal_left(w: Window) -> Ideal:
     return _ideal("lower-left", validate_window(w))
 
 
-def upper_ideal_left(w: Window) -> Ideal:
+def upper_ideal_left(w: Window) -> frozenset[Window]:
     """
     All u >= w in the left order: x -> w0 * x = -x reverses the order, so
-    they are the negated elements of the lower left ideal of -w, that is
-    the images under y -> -y^-1 of the right ideal of -w^-1.
+    they are the negated elements of the lower left ideal of -w.
     """
-    return _ideal("upper-left", validate_window(w))
+    below = _ideal("lower-left", tuple(-x for x in validate_window(w)))
+    return frozenset(tuple(-x for x in u) for u in below)
 
 
-def interval_right(u: Window) -> Ideal:
+def interval_right(u: Window) -> frozenset[Window]:
     """All x <= u in the right order, by upward search from the identity."""
     return _ideal("lower-right", validate_window(u))
 
 
-def rank_polynomial(ideal: Ideal) -> Poly:
+def rank_polynomial(ideal: frozenset[Window]) -> Poly:
     """
-    The rank generating polynomial of an ideal, graded by length from the
-    bottom of the ideal (for upper ideals the grading is shifted so the
-    generating element sits in rank zero), counted from element lengths.
+    The rank generating polynomial of an ideal, graded by length from its
+    shortest element (the identity for a lower ideal, the generating
+    element for an upper one), counted from element lengths.
     """
-    base = length(ideal.apex) if ideal.kind == "upper-left" else 0
-    return from_counts([length(w) - base for w in ideal.elements])
+    lengths = [length(w) for w in ideal]
+    base = min(lengths)
+    return from_counts([k - base for k in lengths])
 
 
 def ideal_polynomial(kind: str, w: Window) -> Poly:
     """
-    rank_polynomial of the ideal of the given kind ("lower-left",
-    "upper-left" or "lower-right") at w, counted from the levels of its
-    search alone, with two levels alive at once and the same limit.
+    rank_polynomial of the ideal of the given kind ("lower-left" or
+    "lower-right") at w, counted from the levels of its search alone,
+    with two levels alive at once and the same limit.  The upper left
+    ideal of w is the lower left ideal of -w negated, so its polynomial
+    is ideal_polynomial("lower-left", -w).reversed().
 
     >>> ideal_polynomial("lower-left", (-1, -2)).to_list()
     [1, 2, 2, 2, 1]
@@ -215,10 +197,7 @@ def ideal_polynomial(kind: str, w: Window) -> Poly:
     if kind not in _IMAGES:
         raise ValueError(f"unknown ideal kind {kind!r}; expected one of {sorted(_IMAGES)}")
     seed = _IMAGES[kind](validate_window(w))
-    sizes = [len(level) for level, _ in _levels(seed)]
-    # An upper ideal's levels are images of the levels below -w^-1: they
-    # run down from its top.
-    return Poly(sizes[::-1] if kind == "upper-left" else sizes)
+    return Poly([len(level) for level, _ in _levels(seed)])
 
 
 def reduced_word_count(w: Window) -> int:

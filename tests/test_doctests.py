@@ -1,6 +1,7 @@
-"""Run the doctests embedded in the library modules."""
+"""Run the doctests embedded in the library modules and the README library tour."""
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +15,9 @@ from bweyl import patterns, polynomials, root_system, signed_perm, theorems, wea
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0
+
+
+def test_readme_library_tour():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failures, tried = doctest.testfile(str(readme), module_relative=False)
+    assert failures == 0 and tried > 0

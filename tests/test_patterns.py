@@ -82,6 +82,20 @@ def test_sts_core_matches_validating_sts(seq):
     assert _sts(seq) == sts(seq) == tuple(r if x > 0 else -r for r, x in zip(ranks, seq))
 
 
+def test_st_rejects_entries_that_are_not_ints():
+    # st(("b", "a")) used to answer (2, 1) and st((True, 3)) (1, 2)
+    for bad in (("b", "a"), (1.5, -2), (True, 3), (2, False)):
+        with pytest.raises(ValueError, match="non-int entries"):
+            st(bad)
+
+
+def test_sts_rejects_entries_that_are_not_ints():
+    # sts((1.5, -2)) used to answer (1, -2)
+    for bad in (("b", "a"), (1.5, -2), (True, 3), (-2, False)):
+        with pytest.raises(ValueError, match="non-int entries"):
+            sts(bad)
+
+
 def test_standardization_rejections():
     with pytest.raises(ValueError):
         st((1, 1))
@@ -173,6 +187,17 @@ def test_standardization_fibers_match_catalog():
     assert {w for w in all_windows(4) if st(w) == (3, 1, 4, 2)} == ST_FIBER_3142
     assert {w for w in all_windows(4) if st(w) == (2, 4, 1, 3)} == ST_FIBER_2413
     assert len(ST_FIBER_3142) == len(ST_FIBER_2413) == 16
+
+
+def test_forbidden_patterns_are_closed_under_negation():
+    # sts(-s) = -sts(s), so w contains p exactly when -w contains -p
+    assert {tuple(-x for x in p) for p in SEPARABLE_FORBIDDEN} == set(SEPARABLE_FORBIDDEN)
+
+
+def test_separability_closed_under_negation_through_rank_six():
+    for n in range(1, 7):
+        for w in all_windows(n):
+            assert _separable(w) == _separable(tuple(-x for x in w)), w
 
 
 def test_separability_closed_under_inverse_and_longest_multiplication():
@@ -402,6 +427,6 @@ def test_pattern_set_registry():
         "inverse-quad-pos",
         "inverse-quad-neg",
     }
-    assert PATTERN_SETS["sep-forbidden-6"].members == SEPARABLE_FORBIDDEN
-    for ps in PATTERN_SETS.values():
-        assert len(set(ps.members)) == len(ps.members)
+    assert PATTERN_SETS["sep-forbidden-6"] == SEPARABLE_FORBIDDEN
+    for members in PATTERN_SETS.values():
+        assert len(set(members)) == len(members)

@@ -69,7 +69,7 @@ def test_generalized_quotient_degenerate_cases():
 def test_generalized_quotient_matches_compose_and_length_filter():
     for n in (1, 2, 3):
         everything = frozenset(all_windows(n))
-        cases = [interval_right(u).elements for u in everything]
+        cases = [interval_right(u) for u in everything]
         cases += [{identity(n)}, everything, {longest_element(n)}]
         for U in cases:
             assert generalized_quotient(U, n) == literal_quotient(U, n), (n, sorted(U))
@@ -77,7 +77,7 @@ def test_generalized_quotient_matches_compose_and_length_filter():
 
 def test_quotient_of_interval_rank_two():
     u = (-1, 2)
-    U = interval_right(u).elements
+    U = interval_right(u)
     expected = {(1, 2), (2, 1), (2, -1), (1, -2)}
     assert generalized_quotient(U, 2) == expected
     assert quotient_of_interval(u) == expected
@@ -194,7 +194,8 @@ def test_splitting_report_matches_length_scan():
         for w in all_windows(n):
             if w[-2:] == (-n, n - 1):
                 q, j = (lower_ideal_left(f) for f in parabolic_factor(w, (n - 2, n - 1)))
-                args = (list(q), list(j), lower_ideal_left(w).elements, len(lower_ideal_left(w)))
+                ideal_w = lower_ideal_left(w)
+                args = (sorted(q), sorted(j), ideal_w, len(ideal_w))
                 assert _splitting_report(*args) == splitting_report_by_length(*args), w
 
 
@@ -288,7 +289,7 @@ def test_walk_core_checks_additivity_on_arbitrary_rows():
 
 def literal_split_check(u):
     """The split check by its definition: both factors built, every pair composed."""
-    X, Y = quotient_of_interval(u), interval_right(u).elements
+    X, Y = quotient_of_interval(u), interval_right(u)
     return _splitting_report(sorted(X), sorted(Y), None, group_order(len(u)))
 
 
@@ -347,7 +348,7 @@ def test_every_splitting_entry_point_rejects_mixed_ranks():
     # a window of another rank is an error, never silently left out
     u = (-1, 2, 3)
     X = quotient_of_interval(u)
-    Y = interval_right(u).elements | {(1, 2)}
+    Y = interval_right(u) | {(1, 2)}
     with pytest.raises(ValueError, match="rank mismatch: 1 2 in rank-3 group"):
         is_splitting(X, Y, 3)
 
@@ -359,7 +360,7 @@ def test_splitting_implies_poincare_factorization():
             report = splits_with_interval(u)
             if report.is_splitting:
                 X = quotient_of_interval(u)
-                Y = interval_right(u).elements
+                Y = interval_right(u)
                 fx = from_counts([length(x) for x in X])
                 fy = from_counts([length(y) for y in Y])
                 assert fx * fy == target
@@ -409,8 +410,8 @@ def test_table_walk_matches_tuple_walk_on_every_pair():
     for n in (2, 3):
         tables = _GroupTables(n)
         ideals = all_ideals(tables)
-        X = [lower_ideal_left(w).elements for w in tables.windows]
-        Y = [interval_right(w).elements for w in tables.windows]
+        X = [lower_ideal_left(w) for w in tables.windows]
+        Y = [interval_right(w) for w in tables.windows]
         failures = set()
         for a in range(tables.order):
             for u in range(tables.order):

@@ -30,7 +30,7 @@ from bweyl.theorems import (
     check_unique_reduced_word,
     doubly_minimal_elements,
 )
-from bweyl.weak_order import lower_ideal_left, rank_polynomial
+from bweyl.weak_order import ideal_polynomial, lower_ideal_left, rank_polynomial
 
 
 def test_sign_structure_named_element():
@@ -107,7 +107,7 @@ def literal_factorization_witness(w):
     n = len(w)
     wq, wj = parabolic_factor(w, (n - 2, n - 1))
     ideal_q, ideal_j, ideal_w = (lower_ideal_left(v) for v in (wq, wj, w))
-    split = _splitting_report(list(ideal_q), list(ideal_j), ideal_w.elements, len(ideal_w))
+    split = _splitting_report(sorted(ideal_q), sorted(ideal_j), ideal_w, len(ideal_w))
     poly_ok = rank_polynomial(ideal_w) == Poly.geometric(2 * n - 2) * rank_polynomial(ideal_j)
     return None if split.is_splitting and poly_ok else {"window": w}
 
@@ -187,6 +187,25 @@ def test_product_identity_small_ranks():
         report = check_separable_product_identity(n)
         assert report.passed
         assert report.universe_size == (6 if n == 2 else 22)
+
+
+def test_product_identity_searches_each_separable_window_once(monkeypatch, capsys):
+    # -w is separable with w and P_U(w) is P_L(-w) reversed, so one lower
+    # ideal search per separable window serves both polynomials; the rank
+    # guard refuses before any search.
+    kinds = []
+
+    def counted(kind, w):
+        kinds.append(kind)
+        return ideal_polynomial(kind, w)
+
+    monkeypatch.setattr(theorems, "ideal_polynomial", counted)
+    with pytest.raises(ValueError):
+        check_separable_product_identity(6)
+    assert kinds == []
+    assert main(["verify", "product-identity", "--n", "4", "--format", "json"]) == 0
+    assert '"pass": true' in capsys.readouterr().out
+    assert kinds == ["lower-left"] * 90
 
 
 def test_minimality_equivalence_counts():

@@ -27,7 +27,6 @@ from bweyl.signed_perm import (
     validate_window,
 )
 from bweyl.weak_order import (
-    Ideal,
     ideal_polynomial,
     interval_right,
     iter_reduced_words,
@@ -136,23 +135,14 @@ def test_lower_ideal_matches_direct_filter_exhaustively():
     for n in (1, 2, 3, 4):
         cache = _stats_cache(n)
         for w in cache:
-            assert lower_ideal_left(w).elements == _filter_lower(w, cache)
+            assert lower_ideal_left(w) == _filter_lower(w, cache)
 
 
 def test_lower_ideal_spot_checks_rank_five():
     rng = random.Random(55)
     cache = _stats_cache(5)
     for w in rng.sample(sorted(cache), 8):
-        assert lower_ideal_left(w).elements == _filter_lower(w, cache)
-
-
-def test_ideal_container_protocol():
-    ideal = lower_ideal_left((-1, 2))
-    assert ideal.kind == "lower-left"
-    assert ideal.apex == (-1, 2)
-    assert len(ideal) == 2
-    assert identity(2) in ideal
-    assert list(ideal) == sorted(ideal.elements)
+        assert lower_ideal_left(w) == _filter_lower(w, cache)
 
 
 def test_ideals_reject_malformed_windows():
@@ -164,8 +154,8 @@ def test_ideals_reject_malformed_windows():
 
 def test_upper_ideal_named_values():
     n = 3
-    assert upper_ideal_left(identity(n)).elements == frozenset(all_windows(n))
-    assert upper_ideal_left(longest_element(n)).elements == frozenset(
+    assert upper_ideal_left(identity(n)) == frozenset(all_windows(n))
+    assert upper_ideal_left(longest_element(n)) == frozenset(
         {longest_element(n)}
     )
     assert len(upper_ideal_left((-1, 2))) == 4
@@ -177,7 +167,20 @@ def test_upper_ideal_matches_direct_filter():
         ws = list(all_windows(n))
         for w in ws:
             expected = frozenset(u for u in ws if left_leq(w, u))
-            assert upper_ideal_left(w).elements == expected, w
+            assert upper_ideal_left(w) == expected, w
+
+
+def _upper_polynomial(w):
+    """P_U(w): the upper left ideal of w is the lower one of -w negated."""
+    return ideal_polynomial("lower-left", tuple(-x for x in w)).reversed()
+
+
+#: Each materialized ideal with the polynomial that counts its levels.
+_ORACLES = (
+    (lower_ideal_left, lambda w: ideal_polynomial("lower-left", w)),
+    (upper_ideal_left, _upper_polynomial),
+    (interval_right, lambda w: ideal_polynomial("lower-right", w)),
+)
 
 
 def _bfs_levels(apex, covers):
@@ -201,16 +204,14 @@ def test_ideals_match_left_cover_search_through_rank_five():
             for c in covers:
                 up[c].add(w)
         right_down = {w: {inverse(c) for c in down[inverse(w)]} for w in down}
-        for build, covers in ((lower_ideal_left, down), (upper_ideal_left, up),
-                              (interval_right, right_down)):
+        for (build, poly), covers in zip(_ORACLES, (down, up, right_down)):
             for w in down:
                 levels = _bfs_levels(w, covers)
-                ideal = build(w)
-                assert ideal.elements == frozenset().union(*levels), (build.__name__, w)
-                # the search counts levels from the bottom; BFS runs out from the apex
-                bottom_up = levels if ideal.kind == "upper-left" else levels[::-1]
+                assert build(w) == frozenset().union(*levels), (build.__name__, w)
+                # polynomials count levels from the bottom; BFS runs out from the apex
+                bottom_up = levels if build is upper_ideal_left else levels[::-1]
                 sizes = list(map(len, bottom_up))
-                assert ideal_polynomial(ideal.kind, w).to_list() == sizes, (ideal.kind, w)
+                assert poly(w).to_list() == sizes, (build.__name__, w)
 
 
 def _right_move(x, i):
@@ -296,9 +297,9 @@ def test_upper_ideal_polynomial_is_the_reversed_lower_one_through_w0():
 
 
 def test_interval_right_named_values():
-    assert interval_right(identity(3)).elements == {identity(3)}
+    assert interval_right(identity(3)) == {identity(3)}
     assert len(interval_right(longest_element(2))) == 8
-    assert interval_right((-1, 2)).elements == {identity(2), (-1, 2)}
+    assert interval_right((-1, 2)) == {identity(2), (-1, 2)}
 
 
 def test_interval_right_matches_right_order_filter():
@@ -306,7 +307,7 @@ def test_interval_right_matches_right_order_filter():
         ws = list(all_windows(n))
         for u in ws:
             expected = frozenset(x for x in ws if right_leq(x, u))
-            assert interval_right(u).elements == expected, u
+            assert interval_right(u) == expected, u
 
 
 def test_ideal_sizes_and_degrees():
@@ -341,38 +342,36 @@ def test_upper_ideal_polynomial_graded_from_its_bottom():
 
 
 def test_rank_polynomial_matches_element_lengths():
-    # the literal grading: every element's length, shifted to the bottom
-    def from_lengths(ideal):
-        lengths = [length(w) for w in ideal.elements]
-        base = min(lengths)
-        return from_counts([l - base for l in lengths])
+    # the literal grading: every element's length, shifted to the bottom,
+    # the identity for a lower ideal and w for an upper one
+    def from_lengths(ideal, base):
+        return from_counts([length(u) - base for u in ideal])
 
     cases = [w for n in range(1, 5) for w in all_windows(n)]
     cases += [longest_element(5), longest_element(6)]
     for w in cases:
-        for build in (lower_ideal_left, upper_ideal_left, interval_right):
+        for build, base in ((lower_ideal_left, 0), (upper_ideal_left, length(w)),
+                            (interval_right, 0)):
             ideal = build(w)
-            assert rank_polynomial(ideal) == from_lengths(ideal), (build.__name__, w)
+            assert rank_polynomial(ideal) == from_lengths(ideal, base), (build.__name__, w)
 
 
 def test_ideal_polynomial_matches_materialized_ideals():
     cases = [w for n in range(1, 5) for w in all_windows(n)]
     cases += [longest_element(5), longest_element(6)]
     for w in cases:
-        for build in (lower_ideal_left, upper_ideal_left, interval_right):
-            ideal = build(w)
-            assert ideal_polynomial(ideal.kind, w) == rank_polynomial(ideal), (ideal.kind, w)
+        for build, poly in _ORACLES:
+            assert poly(w) == rank_polynomial(build(w)), (build.__name__, w)
 
 
 def test_ideal_polynomial_budget_and_kinds(monkeypatch):
     monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 47)
-    for kind, w in (("lower-left", longest_element(3)),
-                    ("upper-left", identity(3)),
-                    ("lower-right", longest_element(3))):
+    for kind in ("lower-left", "lower-right"):
         with pytest.raises(ValueError, match="element limit 47: 48 elements reached"):
-            ideal_polynomial(kind, w)
-    with pytest.raises(ValueError, match="unknown ideal kind 'upper-right'"):
-        ideal_polynomial("upper-right", identity(3))
+            ideal_polynomial(kind, longest_element(3))
+    for kind in ("upper-right", "upper-left"):
+        with pytest.raises(ValueError, match=f"unknown ideal kind '{kind}'"):
+            ideal_polynomial(kind, identity(3))
 
 
 def test_ideal_element_budget(monkeypatch):
