@@ -54,9 +54,9 @@ PATTERN_SETS: dict[str, tuple[Window, ...]] = {
 
 
 def _check_entries(seq: Sequence[int]) -> None:
-    """Raise ValueError unless every entry is a nonzero int (not a bool)."""
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in seq):
-        raise ValueError(f"standardization rejects non-int entries: {tuple(seq)!r}")
+    """Raise ValueError unless seq is a sequence of nonzero ints (not bools)."""
+    if not isinstance(seq, Sequence) or not all(type(x) is int for x in seq):
+        raise ValueError(f"standardization rejects non-int entries: {seq!r}")
     if 0 in seq:
         raise ValueError("standardization rejects zero entries")
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .signed_perm import _check_rank
+
 
 class Poly:
     """An immutable dense polynomial; coeffs[k] is the coefficient of q^k."""
@@ -123,7 +125,7 @@ def from_counts(values: Sequence[int]) -> Poly:
     return Poly(coeffs)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed, so True and 2.0 miss the ranks 1 and 2
 def group_poincare(n: int) -> Poly:
     """
     Length generating polynomial of the rank-n group: the product of
@@ -132,8 +134,7 @@ def group_poincare(n: int) -> Poly:
     >>> str(group_poincare(2))
     '1 + 2q + 2q^2 + 2q^3 + q^4'
     """
-    if n < 1:
-        raise ValueError(f"rank must be a positive integer, got {n}")
+    _check_rank(n)
     f = Poly.one()
     for i in range(1, n + 1):
         f = f * Poly.geometric(2 * i - 1)

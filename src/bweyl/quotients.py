@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from array import array
 from functools import lru_cache, reduce
+from itertools import chain
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -38,6 +39,7 @@ from .signed_perm import (
     group_order,
     inverse,
     inversion_mask,
+    is_window,
     sort_windows,
     validate_window,
 )
@@ -65,13 +67,14 @@ def generalized_quotient(U: Iterable[Window], n: int) -> frozenset[Window]:
     w is kept when its inversion mask misses the OR of the masks of u^-1.
     ValueError when the rank-n group outgrows the ideal limit.
     """
-    members = set(U)
+    members = {u if type(u) is tuple else validate_window(u) for u in U}
     if not members:
         raise ValueError("generalized quotient of an empty set is degenerate")
     _require_enumerable(n)
     masks = _group_masks(n)
-    strays = members - masks.keys()
-    if strays:
+    # A tuple is a window when it is a key with int entries (True == 1.0 == 1).
+    if not masks.keys() >= members or {int} != set(map(type, chain.from_iterable(members))):
+        strays = [u for u in members if u not in masks or not is_window(u)]
         raise ValueError(f"not rank-{n} windows: {sorted(strays, key=repr)!r}")
     blocked = reduce(or_, (masks[inverse(u)] for u in members))
     return frozenset(w for w, mask in masks.items() if not mask & blocked)

@@ -16,7 +16,7 @@ RANKS = {
     "unique-reduced-word": (2, 6),
     "factorization": (2, 6),
     "rank-symmetry": (3, 6),
-    "product-identity": (2, 5),
+    "product-identity": (2, 6),
     "classifier-equivalence": (1, 6),
     "minimality-equivalence": (1, 6),
     "interval-identity": (1, 5),
@@ -24,9 +24,9 @@ RANKS = {
 
 
 def require_rank(check_id: str, n: int) -> None:
-    """Raise ValueError unless the check accepts rank n."""
+    """Raise ValueError unless the check accepts rank n, an int (not a bool)."""
     lo, hi = RANKS[check_id]
-    if not lo <= n <= hi:
+    if type(n) is not int or not lo <= n <= hi:
         raise ValueError(f"{check_id} accepts ranks {lo}..{hi}, got {n}")
 
 

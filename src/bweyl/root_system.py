@@ -24,7 +24,7 @@ from itertools import accumulate, combinations, groupby
 from operator import or_
 from typing import Iterable
 
-from .signed_perm import Window, inversion_mask, validate_window
+from .signed_perm import Window, _check_rank, inversion_mask, validate_window
 
 Root = tuple[int, ...]
 
@@ -44,6 +44,7 @@ class RootSubsystem:
 
     def __post_init__(self) -> None:
         n = self.ambient_rank
+        _check_rank(n)
         places = (-1, *self.positions, n)
         if any(p >= q for p, q in zip(places, places[1:])):
             raise ValueError(f"simple root positions not increasing in 0..{n - 1}: "
@@ -102,11 +103,10 @@ def _decode(n: int, mask: int) -> frozenset[Root]:
     return frozenset(root for k, root in enumerate(_tables(n)[0]) if mask >> k & 1)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed, so True and 2.0 miss the ranks 1 and 2
 def full_system(n: int) -> RootSubsystem:
     """The full rank-n system: n^2 positive roots, simples (a_0, ..., a_{n-1})."""
-    if n < 1:
-        raise ValueError(f"rank must be a positive integer, got {n}")
+    _check_rank(n)
     return RootSubsystem(n, tuple(range(n)))
 
 

@@ -13,9 +13,10 @@ as one int bitmask over the positive roots (`inversion_mask`).
 
 `compose`, `inverse`, `length`, `inversion_mask`, `statistic_sets` and
 `format_window` are unchecked primitives for the hot loops: on a
-non-window they return a meaningless value or raise IndexError.  Check
-outside input with `validate_window` or `parse_window`; the order, ideal,
-pattern and splitting entry points do, and raise ValueError.
+non-window they return a meaningless value or raise IndexError.  They
+live here, not in the package root.  Check outside input with
+`validate_window` or `parse_window`, and ranks with `_check_rank`; the
+root's entry points do, and raise ValueError.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def is_window(w: Sequence[int]) -> bool:
         return False
     seen = 0
     for x in w:
-        if not isinstance(x, int) or isinstance(x, bool) or x == 0 or not -n <= x <= n:
+        if type(x) is not int or x == 0 or not -n <= x <= n:
             return False
         bit = 1 << (abs(x) - 1)
         if seen & bit:
@@ -59,7 +60,10 @@ def is_window(w: Sequence[int]) -> bool:
 
 def validate_window(w: Sequence[int]) -> Window:
     """Return w as a tuple, raising ValueError if it is not a window."""
-    t = tuple(w)
+    try:
+        t = tuple(w)
+    except TypeError:
+        raise ValueError(f"not a signed permutation window: {w!r}") from None
     if not is_window(t):
         raise ValueError(f"not a signed permutation window: {t!r}")
     return t
@@ -73,6 +77,8 @@ def parse_window(text: str) -> Window:
     >>> parse_window("-2 3 4 5 1")
     (-2, 3, 4, 5, 1)
     """
+    if not isinstance(text, str):
+        raise ValueError(f"window text must be a string, got {text!r}")
     try:
         entries = tuple(int(tok) for tok in text.split())
     except ValueError:
@@ -92,8 +98,9 @@ def format_window(w: Sequence[int]) -> str:
 
 
 def _check_rank(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"rank must be a positive integer, got {n}")
+    """Raise ValueError unless n is an int (not a bool) of at least 1."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"rank must be a positive integer, got {n!r}")
 
 
 def identity(n: int) -> Window:
@@ -139,9 +146,8 @@ def all_windows(n: int) -> Iterator[Window]:
     """Iterate over all 2^n * n! windows of rank n in a fixed order."""
     _check_rank(n)
     patterns = list(itertools.product((1, -1), repeat=n))
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in patterns:
-            yield tuple(map(mul, signs, perm))
+    return (tuple(map(mul, signs, perm))
+            for perm in itertools.permutations(range(1, n + 1)) for signs in patterns)
 
 
 def compose(u: Window, v: Window) -> Window:

@@ -136,40 +136,28 @@ def _levels(seed: Window) -> Iterator[tuple[list[Window], array]]:
         firsts = map(n.__rmod__, links)  # link % n
 
 
-#: Each kind of ideal at w is the right ideal below image(w), mapped
-#: through image (each map is an involution: w -> w^-1 and the identity).
-_IMAGES: dict[str, Callable[[Window], Window]] = {
-    "lower-left": inverse,
-    "lower-right": lambda w: w,
-}
-
-
-def _ideal(kind: str, apex: Window) -> frozenset[Window]:
-    """The levels below the image of apex, each mapped back as it is produced."""
-    image = _IMAGES[kind]
-    return frozenset(x for level, _ in _levels(image(apex)) for x in map(image, level))
-
-
 def lower_ideal_left(w: Window) -> frozenset[Window]:
     """
     All u <= w in the left order: u^-1 <= w^-1 in the right order, so
     they are the inverses of the right ideal of w^-1.
     """
-    return _ideal("lower-left", validate_window(w))
+    levels = _levels(inverse(validate_window(w)))
+    return frozenset(inverse(x) for level, _ in levels for x in level)
 
 
 def upper_ideal_left(w: Window) -> frozenset[Window]:
     """
     All u >= w in the left order: x -> w0 * x = -x reverses the order, so
-    they are the negated elements of the lower left ideal of -w.
+    they are the negated elements of the lower left ideal of -w, the
+    inverses of the right ideal of (-w)^-1 = -w^-1, negated.
     """
-    below = _ideal("lower-left", tuple(-x for x in validate_window(w)))
-    return frozenset(tuple(-x for x in u) for u in below)
+    levels = _levels(tuple(-x for x in inverse(validate_window(w))))
+    return frozenset(tuple(-y for y in inverse(x)) for level, _ in levels for x in level)
 
 
 def interval_right(u: Window) -> frozenset[Window]:
     """All x <= u in the right order, by upward search from the identity."""
-    return _ideal("lower-right", validate_window(u))
+    return frozenset(x for level, _ in _levels(validate_window(u)) for x in level)
 
 
 def rank_polynomial(ideal: frozenset[Window]) -> Poly:
@@ -194,9 +182,12 @@ def ideal_polynomial(kind: str, w: Window) -> Poly:
     >>> ideal_polynomial("lower-left", (-1, -2)).to_list()
     [1, 2, 2, 2, 1]
     """
-    if kind not in _IMAGES:
-        raise ValueError(f"unknown ideal kind {kind!r}; expected one of {sorted(_IMAGES)}")
-    seed = _IMAGES[kind](validate_window(w))
+    if kind not in ("lower-left", "lower-right"):
+        raise ValueError(f"unknown ideal kind {kind!r}; "
+                         "expected one of ['lower-left', 'lower-right']")
+    seed = validate_window(w)
+    if kind == "lower-left":  # the right ideal of w^-1, inverted
+        seed = inverse(seed)
     return Poly([len(level) for level, _ in _levels(seed)])
 
 

@@ -201,7 +201,7 @@ def test_product_identity_searches_each_separable_window_once(monkeypatch, capsy
 
     monkeypatch.setattr(theorems, "ideal_polynomial", counted)
     with pytest.raises(ValueError):
-        check_separable_product_identity(6)
+        check_separable_product_identity(7)
     assert kinds == []
     assert main(["verify", "product-identity", "--n", "4", "--format", "json"]) == 0
     assert '"pass": true' in capsys.readouterr().out
@@ -248,11 +248,19 @@ def test_rank_guards():
     with pytest.raises(ValueError):
         check_sign_structure(2)
     with pytest.raises(ValueError):
-        check_separable_product_identity(6)
+        check_separable_product_identity(7)
     with pytest.raises(ValueError):
         check_interval_identity(6)
     with pytest.raises(ValueError):
         check_unique_reduced_word(1)
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("n", [True, 2.0, "3"], ids=repr)
+def test_every_check_refuses_a_rank_that_is_not_an_int(check, n):
+    # True == 1 and 2.0 == 2 pass a range test alone; "3" fails it with TypeError
+    with pytest.raises(ValueError, match="accepts ranks"):
+        CHECKS[check](n)
 
 
 @pytest.mark.parametrize("check", sorted(RANKS))
