@@ -17,7 +17,14 @@ from functools import lru_cache
 from itertools import combinations, count
 from typing import Iterable, Sequence
 
-from .signed_perm import Window, identity, inverse, validate_window
+from .signed_perm import (
+    Window,
+    _check_generator,
+    _iterate,
+    identity,
+    inverse,
+    validate_window,
+)
 
 #: The six forbidden patterns; avoiding all of them is separability.
 SEPARABLE_FORBIDDEN: tuple[Window, ...] = (
@@ -171,10 +178,7 @@ def parabolic_factor(
     """
     w = validate_window(w)
     n = len(w)
-    ps = sorted(set(removed))
-    for p in ps:
-        if not 0 <= p <= n - 1:
-            raise ValueError(f"generator index {p} out of range [0, {n - 1}]")
+    ps = sorted({_check_generator(n, p) for p in _iterate(removed, "removed generators")})
     if not ps:
         return identity(n), w
 

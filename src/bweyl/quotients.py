@@ -10,8 +10,8 @@ theorem sweep compares "(quotient, interval) splits" with separability.
 
 The sweep indexes the group as ints, with one ascent table per
 generator (`_GroupTables`); its ideal DP and its walk both push upward
-in table order, and it walks only the first half of the table: -u sits
-at the mirrored index and splits exactly when u does.  One walk on
+in table order; the factors of u and -u are one pair of ideals at
+mirrored indices, walked once in a single run of the DP.  One walk on
 window tuples (`_walk_links`) serves the element's check
 (`splits_with_interval`) and the factorization lemma in `theorems`: it
 climbs a right-order search up from the identity and moves each row of
@@ -33,6 +33,7 @@ from .patterns import _separable
 from .reports import LemmaReport, SplittingReport, lemma_report, require_rank
 from .signed_perm import (
     Window,
+    _iterate,
     all_windows,
     compose,
     format_window,
@@ -67,7 +68,7 @@ def generalized_quotient(U: Iterable[Window], n: int) -> frozenset[Window]:
     w is kept when its inversion mask misses the OR of the masks of u^-1.
     ValueError when the rank-n group outgrows the ideal limit.
     """
-    members = {u if type(u) is tuple else validate_window(u) for u in U}
+    members = {u if type(u) is tuple else validate_window(u) for u in _iterate(U, "U")}
     if not members:
         raise ValueError("generalized quotient of an empty set is degenerate")
     _require_enumerable(n)
@@ -136,7 +137,8 @@ def is_splitting(
     ValueError on a bad rank, a non-window, or a window not of rank n.
     """
     order = group_order(n)
-    Xs, Ys = (sorted({validate_window(w) for w in ws}) for ws in (X, Y))
+    Xs, Ys = (sorted({validate_window(w) for w in _iterate(ws, name)})
+              for ws, name in ((X, "X"), (Y, "Y")))
     for w in Xs + Ys:
         if len(w) != n:
             raise ValueError(f"rank mismatch: {format_window(w)} in rank-{n} group")
@@ -296,28 +298,27 @@ def _members(bits: int) -> list[int]:
 def _theorem_cases(n: int) -> list[tuple[Window, bool, bool]]:
     """
     (u, is_separable(u), whether (quotient, interval) splits) for every u
-    of rank n, sorted by u.  #X = |L(w0 u^-1)| and #Y = |L(u^-1)|, so the
-    ideal sizes, counted once off the ideal DP, settle #X * #Y != #W
-    without building either factor; the remaining cases get the full
-    product walk, on the two ideals kept from a second run of the DP.
-    The pair of -u is (Y^-1, X^-1), whose product map is (x, y) -> (xy)^-1,
-    so u and -u split together and only the first half of the table is
-    walked (`test_theorem_sweep_walks_the_first_half_of_the_table`).
+    of rank n, sorted by u, from one run of the ideal DP.  For u = w_k the
+    factors Y^-1 = L(u^-1) and X = L(w0 u^-1) are the ideals at j = inv[k]
+    and at its mirror order-1-j; those of -u are the same two swapped, with
+    product map (x, y) -> (xy)^-1, so u and -u split together.  Each pair
+    with #X * #Y = #W is walked once, at its upper index, and a lower ideal
+    is held till then only if its size divides #W
+    (`test_theorem_sweep_walks_each_mirrored_pair_once`).
     """
     tables = _GroupTables(n)
     inv, order = tables.inv, tables.order
-    sizes = array("i", map(int.bit_count, _lower_ideals(tables)))
-    # The apexes of X and Y^-1: w0 * w_k^-1 = (-w_k)^-1 and w_k^-1.
-    apexes = {k: (inv[order - 1 - k], inv[k]) for k in range(order // 2)}
-    walked = {k: (a, b) for k, (a, b) in apexes.items() if sizes[a] * sizes[b] == order}
-    keep = {a for pair in walked.values() for a in pair}
-    ideals = {k: bits for k, bits in enumerate(_lower_ideals(tables)) if k in keep}
+    held: dict[int, int] = {}
     splits = [False] * order
-    # Walked from the top, each ideal dropped once read, so the largest
-    # walk (u = e, X = W) runs when the other ideals are gone.
-    for k, (a, b) in reversed(walked.items()):
-        if tables.splits(_members(ideals.pop(a)), _members(ideals.pop(b))):
-            splits[k] = splits[order - 1 - k] = True
+    for j, bits in enumerate(_lower_ideals(tables)):
+        if j < order // 2:
+            if order % bits.bit_count() == 0:
+                held[j] = bits
+            continue
+        lower = held.pop(order - 1 - j, 0)
+        if (lower.bit_count() * bits.bit_count() == order
+                and tables.splits(_members(lower), _members(bits))):
+            splits[inv[j]] = splits[order - 1 - inv[j]] = True
     return sorted(zip(tables.windows, map(_separable, tables.windows), splits))
 
 

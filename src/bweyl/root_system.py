@@ -24,7 +24,14 @@ from itertools import accumulate, combinations, groupby
 from operator import or_
 from typing import Iterable
 
-from .signed_perm import Window, _check_rank, inversion_mask, validate_window
+from .signed_perm import (
+    Window,
+    _check_generator,
+    _check_rank,
+    _iterate,
+    inversion_mask,
+    validate_window,
+)
 
 Root = tuple[int, ...]
 
@@ -154,10 +161,7 @@ def subsystem_spanned_by(sys: RootSubsystem, kept: Iterable[int]) -> RootSubsyst
     those positive roots of sys whose nonzero coefficients all fall on the
     kept simple roots.
     """
-    kept_idx = sorted(set(kept))
-    for k in kept_idx:
-        if not 0 <= k < sys.rank:
-            raise ValueError(f"simple root index {k} out of range")
+    kept_idx = sorted({_check_generator(sys.rank, k) for k in _iterate(kept, "kept indices")})
     return RootSubsystem(sys.ambient_rank, tuple(sys.positions[k] for k in kept_idx))
 
 

@@ -15,7 +15,8 @@ as one int bitmask over the positive roots (`inversion_mask`).
 `format_window` are unchecked primitives for the hot loops: on a
 non-window they return a meaningless value or raise IndexError.  They
 live here, not in the package root.  Check outside input with
-`validate_window` or `parse_window`, and ranks with `_check_rank`; the
+`validate_window` or `parse_window`, ranks with `_check_rank`, generator
+indices with `_check_generator` and collections with `_iterate`; the
 root's entry points do, and raise ValueError.
 """
 
@@ -103,6 +104,21 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank must be a positive integer, got {n!r}")
 
 
+def _check_generator(n: int, i: int) -> int:
+    """Return i, raising ValueError unless it is an int (not a bool) in 0..n-1."""
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"generator index {i!r} out of range [0, {n - 1}]")
+    return i
+
+
+def _iterate(xs: Iterable, what: str) -> Iterator:
+    """iter(xs), raising ValueError when xs is not iterable."""
+    try:
+        return iter(xs)
+    except TypeError:
+        raise ValueError(f"{what} must be iterable, got {xs!r}") from None
+
+
 def identity(n: int) -> Window:
     """The identity window (1, 2, ..., n).
 
@@ -132,8 +148,7 @@ def simple_reflection(n: int, i: int) -> Window:
     ((-1, 2), (1, 2, 4, 3, 5))
     """
     _check_rank(n)
-    if not 0 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range [0, {n - 1}]")
+    _check_generator(n, i)
     win = list(range(1, n + 1))
     if i == 0:
         win[0] = -1

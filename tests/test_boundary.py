@@ -1,5 +1,5 @@
 """The package root is the public boundary: every export that takes a
-window, a collection of windows or a rank raises ValueError on a
+window, a collection, a generator index or a rank raises ValueError on a
 malformed one, and nothing else is exported."""
 
 import importlib
@@ -35,12 +35,15 @@ from bweyl import (
     splits_with_interval,
     st,
     sts,
+    subsystem_spanned_by,
     validate_window,
     verify_main_theorem,
 )
 
 BAD_WINDOWS = [(1, 1), (0, 3), (), (True, 2), (1.0, 2), None]
 BAD_RANKS = [True, 2.0, "3"]
+BAD_GENERATORS = [True, 1.0, -1, 3]  # at rank 3
+BAD_COLLECTIONS = [None, 3]
 
 #: Export -> calls feeding it a window argument.  A collection argument
 #: gets a one-element list holding the window.
@@ -85,12 +88,28 @@ TAKES_RANK = {
     "simple_reflection": [lambda n: simple_reflection(n, 0)],
 }
 
-#: Exports that take neither: values, a type alias, polynomial
+#: Export -> calls feeding it a generator index of rank 3.
+TAKES_GENERATOR = {
+    "simple_reflection": [lambda i: simple_reflection(3, i)],
+    "parabolic_factor": [lambda i: parabolic_factor((2, 1, 3), (i,))],
+    "subsystem_spanned_by": [lambda i: subsystem_spanned_by(full_system(3), [i])],
+}
+
+#: Export -> calls feeding it a collection argument itself.
+TAKES_COLLECTION = {
+    "generalized_quotient": [lambda c: generalized_quotient(c, 2)],
+    "is_splitting": [lambda c: is_splitting(c, [(1, 2)], 2),
+                     lambda c: is_splitting([(1, 2)], c, 2)],
+    "parabolic_factor": [lambda c: parabolic_factor((2, 1, 3), c)],
+    "subsystem_spanned_by": [lambda c: subsystem_spanned_by(full_system(3), c)],
+}
+
+#: Exports that take none of these: values, a type alias, polynomial
 #: coefficients, subsystems and masks, and the report records the checks
 #: build from ranks they have already checked.
 TAKES_NEITHER = {
     "PATTERN_SETS", "Window", "Poly", "LemmaReport", "SplittingReport",
-    "components", "subsystem_spanned_by", "is_separable_recursive",
+    "components", "is_separable_recursive",
 }
 
 #: Names the root no longer exports, each still defined in its module.
@@ -104,17 +123,19 @@ DROPPED = {
 }
 
 
-def _cases(table, bad_values):
+def _cases(table, bad_values, kind=""):
     for name, calls in sorted(table.items()):
         for k, call in enumerate(calls):
             for bad in bad_values:
                 if name in ("st", "sts") and bad == ():
                     continue  # any sequence standardizes, the empty one too
-                yield pytest.param(call, bad, id=f"{name}#{k}-{bad!r}")
+                yield pytest.param(call, bad, id=f"{kind}{name}#{k}-{bad!r}")
 
 
 @pytest.mark.parametrize("call, bad", [*_cases(TAKES_WINDOW, BAD_WINDOWS),
-                                       *_cases(TAKES_RANK, BAD_RANKS)])
+                                       *_cases(TAKES_RANK, BAD_RANKS),
+                                       *_cases(TAKES_GENERATOR, BAD_GENERATORS, "index:"),
+                                       *_cases(TAKES_COLLECTION, BAD_COLLECTIONS, "collection:")])
 def test_every_export_refuses_malformed_input(call, bad):
     # never another exception and never a value: a generator that would
     # fail only when read counts as a value
@@ -131,8 +152,9 @@ def test_a_cached_rank_does_not_answer_an_equal_bool_or_float(cached):
 
 
 def test_every_export_is_in_the_boundary_table():
-    assert set(bweyl.__all__) == TAKES_WINDOW.keys() | TAKES_RANK.keys() | TAKES_NEITHER
-    assert not TAKES_NEITHER & (TAKES_WINDOW.keys() | TAKES_RANK.keys())
+    takes_something = set().union(TAKES_WINDOW, TAKES_RANK, TAKES_GENERATOR, TAKES_COLLECTION)
+    assert set(bweyl.__all__) == takes_something | TAKES_NEITHER
+    assert not TAKES_NEITHER & takes_something
 
 
 def test_star_import_binds_exactly_all():

@@ -459,19 +459,30 @@ def searched_ideals(tables, apexes):
     return [sorted(index[v] for v in lower_ideal_left(tables.windows[k])) for k in apexes]
 
 
-def test_kept_ideals_match_the_tuple_search():
+@pytest.fixture
+def walks(monkeypatch):
+    """The (X, Y_inv) of every `_GroupTables.splits` call, in call order."""
+    calls = []
+    splits = _GroupTables.splits
+
+    def recording(self, X, Y_inv):
+        calls.append((X, Y_inv))
+        return splits(self, X, Y_inv)
+
+    monkeypatch.setattr(_GroupTables, "splits", recording)
+    return calls
+
+
+def test_kept_ideals_match_the_tuple_search(walks):
     for n in range(1, 5):
         tables = _GroupTables(n)
         assert all_ideals(tables) == searched_ideals(tables, range(tables.order)), n
-    # At rank 5, the apexes the sweep keeps: both of every walked u.
-    tables = _GroupTables(5)
-    inv, order = tables.inv, tables.order
-    sizes = [bits.bit_count() for bits in _lower_ideals(tables)]
-    apexes = sorted({a for k in range(order // 2) for a in (inv[order - 1 - k], inv[k])
-                     if sizes[inv[order - 1 - k]] * sizes[inv[k]] == order})
-    kept = {k: bits for k, bits in enumerate(_lower_ideals(tables)) if k in apexes}
-    assert sorted(kept) == apexes
-    assert [_members(kept[a]) for a in apexes] == searched_ideals(tables, apexes)
+    # At rank 5, every ideal the sweep hands to a walk, against the search
+    # below its apex (an ascending index list ends with its apex).
+    _theorem_cases(5)
+    handed = [ideal for pair in walks for ideal in pair]
+    assert len(handed) > 0
+    assert handed == searched_ideals(_GroupTables(5), [ideal[-1] for ideal in handed])
 
 
 def test_negation_reverses_the_table_order():
@@ -505,36 +516,39 @@ def test_halved_theorem_sweep_matches_the_full_walk():
         assert _theorem_cases(n) == _full_walk_theorem_cases(n), n
 
 
-def test_theorem_sweep_walks_the_first_half_of_the_table(monkeypatch):
-    # Pins the reuse key: a sweep that reused the verdict of u^-1 in place
-    # of -u agrees with the full walk at every rank here, but walks
-    # another set of u.  Each ideal is an ascending index list, so its
-    # apex is its last member.
-    calls = []
-    splits = _GroupTables.splits
-
-    def recording(self, X, Y_inv):
-        calls.append((X[-1], self.inv[Y_inv[-1]]))
-        return splits(self, X, Y_inv)
-
-    monkeypatch.setattr(_GroupTables, "splits", recording)
+def test_theorem_sweep_walks_each_mirrored_pair_once(walks):
+    # Pins the reuse key: the two ideals of a walk sit at mirrored indices,
+    # as those of u and -u do.  A sweep that reused the verdict of u^-1 in
+    # place of -u agrees with the full walk at every rank here, but walks
+    # other pairs, or one pair twice.  Each ideal is an ascending index
+    # list, so its apex is its last member.
     for n in (2, 3, 4, 5):
-        calls.clear()
+        walks.clear()
         _theorem_cases(n)
         tables = _GroupTables(n)
+        order = tables.order
         sizes = [bits.bit_count() for bits in _lower_ideals(tables)]
-        index = {w: k for k, w in enumerate(tables.windows)}
-        w0 = longest_element(n)
-        apex = [index[compose(w0, inverse(u))] for u in tables.windows]
-        half = tables.order // 2
-        walked = [u for _, u in calls]
-        assert len(walked) == len(set(walked)), n
-        assert all(u < half for u in walked), n
-        assert set(walked) == {
-            k for k in range(half)
-            if sizes[apex[k]] * sizes[tables.inv[k]] == tables.order
+        assert all(X[-1] + Y_inv[-1] == order - 1 for X, Y_inv in walks), n
+        pairs = [frozenset((X[-1], Y_inv[-1])) for X, Y_inv in walks]
+        assert len(pairs) == len(set(pairs)), n
+        assert set(pairs) == {
+            frozenset((j, order - 1 - j)) for j in range(order // 2)
+            if sizes[j] * sizes[order - 1 - j] == order
         }, n
-        assert all(x_apex == apex[u] for x_apex, u in calls), n
+
+
+def test_theorem_sweep_runs_the_ideal_dp_once(monkeypatch):
+    runs = []
+
+    def counting(tables):
+        runs.append(tables.order)
+        return _lower_ideals(tables)
+
+    monkeypatch.setattr(quotients, "_lower_ideals", counting)
+    for n in (2, 3, 4, 5):
+        runs.clear()
+        _theorem_cases(n)
+        assert runs == [group_order(n)], n
 
 
 def test_report_json_shape():
