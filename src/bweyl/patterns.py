@@ -6,14 +6,16 @@ criteria.
 w contains the pattern p (a window) when some subsequence of w has
 signed standardization p.  Separable windows avoid the six forbidden
 patterns; quadruple families refine the test to the minimal
-non-separable windows and those whose inverses stay minimal.  The public
-predicates raise ValueError on a non-window; sweeps call the unvalidated
-cores (`_separable`, `_minimal`, ...) on windows they made.
+non-separable windows and those whose inverses stay minimal.  Both
+standardizations keep the order of the entries, the signed one every
+sign, and the tests compare nothing else: a parabolic block is tested as
+the raw slice of w it standardizes.  The public predicates raise
+ValueError on a non-window; sweeps call the unvalidated cores
+(`_separable`, `_minimal`, ...) on windows they made.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, count
 from typing import Iterable, Sequence
 
@@ -125,16 +127,28 @@ def contains_pattern(w: Sequence[int], p: Window) -> bool:
 
 def _has_forbidden_pair(w: Sequence[int]) -> bool:
     """
-    Whether w contains (-2, 1) or (2, -1), by a direct scan: a negated
-    entry before or after a smaller-magnitude entry of the opposite sign.
+    Whether w contains (-2, 1) or (2, -1): in one scan, an entry whose
+    magnitude is below that of an earlier entry of the other sign.
     """
-    n = len(w)
-    for i in range(n - 1):
-        wi = w[i]
-        for j in range(i + 1, n):
-            wj = w[j]
-            if (wi < 0 < wj and -wi > wj) or (wj < 0 < wi and wi > -wj):
+    top_pos = top_neg = 0
+    for x in w:
+        if x > 0:
+            if x < top_neg:
                 return True
+            if x > top_pos:
+                top_pos = x
+        elif -x < top_pos:
+            return True
+        elif -x > top_neg:
+            top_neg = -x
+    return False
+
+
+def _has_order_quad(seq: Sequence[int]) -> bool:
+    """Whether some quadruple of seq is ordered as (3, 1, 4, 2) or (2, 4, 1, 3)."""
+    for a, b, c, d in combinations(seq, 4):
+        if b < d < a < c or c < a < d < b:
+            return True
     return False
 
 
@@ -198,25 +212,16 @@ def parabolic_factor(
     return tuple(quotient), tuple(subgroup)
 
 
-#: The definitional sweep meets 1,708 distinct blocks at rank 6.
-@lru_cache(maxsize=8192)
-def _separable_block(block: Window) -> bool:
-    """The separability of one standardized parabolic block, decided once."""
-    return _separable(block)
-
-
 def _minimal_definitional(w: Window) -> bool:
     """
-    Deleting s_i cuts w into the blocks w[:i] (signed, absent for i = 0)
-    and w[i:] (unsigned).  The cuts run from the last: most non-separable
-    windows fail on a long signed prefix first.
+    Deleting s_i leaves the blocks sts(w[:i]) and st(w[i:]), tested raw
+    (the second is all positive).  The cuts run from the last: most
+    non-separable windows fail on a long signed prefix first.
     """
     if _separable(w):
         return False
     for i in reversed(range(len(w))):
-        if i and not _separable_block(_sts(w[:i])):
-            return False
-        if not _separable_block(_st(w[i:])):
+        if not _separable(w[:i]) or _has_order_quad(w[i:]):
             return False
     return True
 
@@ -267,15 +272,10 @@ def _inverse_quad_through_last(w: Window) -> bool:
 
 
 def _minimal(w: Window) -> bool:
-    if len(w) < 2:
-        return False
-    prefix, wn = w[:-1], w[-1]
-    if _has_forbidden_pair(prefix) or _has_forbidden_quad(w):
-        return False
-    # some (x, w_n) standardizes to (-2, 1) for w_n > 0, to (2, -1) otherwise
-    if not (any(-x > wn for x in prefix) if wn > 0 else any(x > -wn for x in prefix)):
-        return False
-    return not _minnonsep_quad_through_last(w)
+    # w_1..w_{n-1} avoids both pairs and w does not: some (x, w_n)
+    # standardizes to (-2, 1) for w_n > 0, to (2, -1) otherwise
+    return (not _has_forbidden_pair(w[:-1]) and _has_forbidden_pair(w)
+            and not _has_forbidden_quad(w) and not _minnonsep_quad_through_last(w))
 
 
 def is_minimal_nonseparable_fast(w: Window) -> bool:
@@ -291,7 +291,7 @@ def is_minimal_nonseparable_fast(w: Window) -> bool:
 def _inverse_minimal(w: Window) -> bool:
     n = len(w)
     i = next(k for k in range(n) if abs(w[k]) == n)
-    if i == n - 1 or not _separable(_sts(w[:i] + w[i + 1:])):
+    if i == n - 1 or not _separable(w[:i] + w[i + 1:]):
         return False
     return not _inverse_quad_through_last(w)
 

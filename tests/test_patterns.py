@@ -19,12 +19,12 @@ from bweyl.patterns import (
     SEPARABLE_FORBIDDEN,
     _has_forbidden_pair,
     _has_forbidden_quad,
+    _has_order_quad,
     _inverse_quad_through_last,
     _minimal,
     _minimal_definitional,
     _minnonsep_quad_through_last,
     _separable,
-    _separable_block,
     _st,
     _sts,
     contains_pattern,
@@ -144,6 +144,7 @@ def test_forbidden_patterns_are_not_separable():
 def _assert_scans_match_containment(w):
     # the literal definition: some subsequence standardizes to a forbidden pattern
     contained = [contains_pattern(w, p) for p in SEPARABLE_FORBIDDEN]
+    assert _has_forbidden_pair(w) == any(contained[:2]), w
     assert _has_forbidden_quad(w) == any(contained[2:]), w
     assert _separable(w) == (not any(contained)), w
 
@@ -165,6 +166,20 @@ def signed_windows(draw, lo, hi):
 @given(signed_windows(6, 9))
 def test_separability_scans_match_containment_at_larger_ranks(w):
     _assert_scans_match_containment(w)
+
+
+@given(signed_windows(7, 9), hs.data())
+def test_pair_scan_and_raw_blocks_match_standardization(w, data):
+    # slices are not windows, so the oracle standardizes each pair of entries
+    a = data.draw(hs.integers(0, len(w)))
+    b = data.draw(hs.integers(a, len(w)))
+    for seq in (w[:b], w[a:b]):
+        pairs = any(_sts((x, y)) in ((-2, 1), (2, -1)) for x, y in combinations(seq, 2))
+        assert _has_forbidden_pair(seq) == pairs, seq
+    # the blocks of a parabolic factor decided on the raw slices, as
+    # _minimal_definitional does
+    assert _separable(w[:b]) == _separable(sts(w[:b])), w[:b]
+    assert _has_order_quad(w[a:b]) == (not _separable(st(w[a:b]))), w[a:b]
 
 
 def _large_schroeder(n):
@@ -232,9 +247,10 @@ def test_parabolic_factor_reconstructs_and_adds_lengths():
 
 
 def test_parabolic_blocks_rebuild_the_subgroup_factor():
-    # what _minimal_definitional slices inline from the window: the subgroup
-    # factor, cut at the deleted generators and each block shifted down, is
-    # the signed standardization before the first cut, the unsigned one after
+    # the blocks _minimal_definitional tests as raw slices of the window: the
+    # subgroup factor, cut at the deleted generators and each block shifted
+    # down, is the signed standardization before the first cut, the unsigned
+    # one after
     for n in range(1, 5):
         for w in all_windows(n):
             for removed in subsets(range(n)):
@@ -308,7 +324,7 @@ def test_minimal_windows_past_exhaustive_ranks_meet_the_definition(n):
 
 def _minimal_by_subgroup_factor(w):
     """
-    The definition with nothing cached: non-separable, and for each
+    The definition on standardized blocks: non-separable, and for each
     deleted generator s_i both blocks of the subgroup factor of
     parabolic_factor(w, {i}), shifted down to windows, are separable.
     """
@@ -322,12 +338,10 @@ def _minimal_by_subgroup_factor(w):
     return True
 
 
-def test_memoized_definitional_minimality_matches_uncached_factor_blocks():
-    _separable_block.cache_clear()
-    for n in range(1, 6):
+def test_raw_slice_definitional_minimality_matches_factor_blocks():
+    for n in range(1, 7):
         for w in all_windows(n):
             assert _minimal_definitional(w) == _minimal_by_subgroup_factor(w), w
-    assert _separable_block.cache_info().hits > 0
 
 
 def _quad_through_last_by_sts(w, quads):
