@@ -144,10 +144,10 @@ def _cmd_ideal_poly(args) -> tuple[dict, int]:
 
 
 def _cmd_quotient(args) -> tuple[dict, int]:
-    # L(w0 * u^-1) is the inverses of the right ideal below -u: its levels
-    # from the identity up, each sorted, are the (length, window) order.
+    # L(w0 * u^-1) is the inverses of the right ideal below -u: its levels,
+    # in first-descent buckets, each sorted, give the (length, window) order.
     levels = _levels(tuple(-x for x in args.window))
-    windows = [format_window(x) for level, _ in levels for x in sorted(map(inverse, level))]
+    windows = [format_window(x) for level in levels for x in sorted(map(inverse, level))]
     return {"size": len(windows), "windows": windows}, 0
 
 

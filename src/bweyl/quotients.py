@@ -11,13 +11,13 @@ theorem sweep compares "(quotient, interval) splits" with separability.
 The sweep indexes the group as ints, with one ascent table per
 generator (`_GroupTables`); its ideal DP and its walk both push upward
 in table order; the factors of u and -u are one pair of ideals at
-mirrored indices, walked once in a single run of the DP.  One walk on
-window tuples (`_walk_links`) serves the element's check
+mirrored indices, walked once in a single run of the DP.  One product
+pass on window tuples (`_products`) serves the element's check
 (`splits_with_interval`) and the factorization lemma in `theorems`: it
-climbs a right-order search up from the identity and moves each row of
-products from its parent's row, found by the search's parent links, by
-one place move per product.  `is_splitting` is the public literal check:
-it checks every pair in `_splitting_report`.
+multiplies the signed tables of the smaller factor's elements by each
+element of the larger one with one itemgetter, and the length sums read
+off the searches' level sizes settle additivity.  `is_splitting` is the
+public literal check: it checks every pair in `_splitting_report`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .signed_perm import (
     validate_window,
 )
 from . import weak_order
-from .weak_order import _levels, _place_swaps
+from .weak_order import _levels, _place_swaps, _places
 
 
 @lru_cache(maxsize=2)
@@ -85,7 +85,7 @@ def quotient_of_interval(u: Window) -> frozenset[Window]:
     """The generalized quotient of the right interval below u: L(w0 * u^-1)."""
     # the inverses of the right ideal below (w0 * u^-1)^-1 = -u
     levels = _levels(tuple(-x for x in validate_window(u)))
-    return frozenset(inverse(x) for level, _ in levels for x in level)
+    return frozenset(inverse(x) for level in levels for x in level)
 
 
 def quotient_interval_identity(u: Window) -> bool:
@@ -93,7 +93,7 @@ def quotient_interval_identity(u: Window) -> bool:
     Check on one element that the exact quotient filter of the right
     interval below u equals the left interval below w0 * u^-1.
     """
-    U = [x for level, _ in _levels(validate_window(u)) for x in level]
+    U = [x for level in _levels(validate_window(u)) for x in level]
     return generalized_quotient(U, len(u)) == quotient_of_interval(u)
 
 
@@ -145,61 +145,62 @@ def is_splitting(
     return _splitting_report(Xs, Ys, None, order)
 
 
-def _walk_links(tree: list[tuple[list[Window], array]], row: list[Window]) -> set[Window] | None:
+def _products(tables: list[list[int]], windows: Iterable[Window]) -> set[Window]:
     """
-    The products r * t, for r in row and t in the tree (the levels and
-    links of a `_levels` search, from the identity up), or None at the
-    first one that is not length-additive.  t = t' * s_i for the parent
-    t' and first right descent i its link records, so the row of t is the
-    row of t' with places i, i+1 swapped (place 1 negated for i = 0) in
-    every product, which lengthens it exactly when i is an ascent of it:
-    one comparison per product.
+    The distinct products l * r for l in tables (entry v is l(v)) and r in
+    windows: l * r is itemgetter(*r)(l).  No getter is kept.
     """
-    n = len(row[0])
-    swaps = _place_swaps(n)
-    seen = set(row)
-    width = len(row)
-    rows = [row]
-    for _, links in tree[1:]:
-        below, rows = rows, []
-        for link in links:
-            parent, i = divmod(link, n)
-            if i:
-                j, swap = i - 1, swaps[i]
-                moved = [swap(p) for p in below[parent] if p[j] < p[i]]
-            else:
-                moved = [(-p[0],) + p[1:] for p in below[parent] if p[0] > 0]
-            if len(moved) < width:
-                return None
-            seen.update(moved)
-            rows.append(moved)
-    return seen
+    products: set[Window] = set()
+    for r in windows:
+        products.update(map(itemgetter(*r), tables))
+    return products
+
+
+def _length_sum(sizes: Iterable[int]) -> int:
+    """The sum of the lengths of a search's elements, from its level sizes."""
+    return sum(k * size for k, size in enumerate(sizes))
+
+
+def _product_pass(small: list[list[Window]], large: list[list[Window]]) -> bool:
+    """
+    Whether the products a^-1 * t, for a in the levels of one right-order
+    search (by its place list) and t in those of another, are the group,
+    each length-additive.  With #small * #large = #W they are the group
+    when there are #W of them; then, as length(xy) <= length(x) +
+    length(y), all are additive exactly when the length sums, read off
+    the level sizes, add up to the group's, n^2 * #W / 2.
+    """
+    tables = [_places(a) for a in chain.from_iterable(small)]
+    n = len(tables[0]) // 2  # a place list has 2n + 1 entries
+    order = group_order(n)
+    products = _products(tables, chain.from_iterable(large))
+    s, t = list(map(len, small)), list(map(len, large))
+    return (len(products) == order
+            and sum(t) * _length_sum(s) + sum(s) * _length_sum(t) == order * n * n // 2)
 
 
 def splits_with_interval(u: Window) -> SplittingReport:
     """
     The splitting check for (X, Y) = (quotient of interval, interval), on
     two right-order searches: Y is the right ideal below u and X^-1 the
-    one below u * w0 = -u.  The larger factor is walked as the tree, the
-    inverses of the other are the first row, so the products are the
-    x * y or their inverses, which keep lengths and distinctness.  A
-    failed walk reruns the literal check for its witness.
+    one below u * w0 = -u.  The product pass builds tables for the smaller
+    factor and streams the larger, so its products are the x * y (X
+    smaller) or the y^-1 * x^-1 = (x * y)^-1 (Y smaller), which keep
+    lengths and distinctness.  A failed pass reruns the literal check for
+    its witness.
     """
     u = validate_window(u)
     order = group_order(len(u))
     y = list(_levels(u))
     x_inv = list(_levels(tuple(-v for v in u)))
-    X_inv = [v for level, _ in x_inv for v in level]
-    Y = [v for level, _ in y for v in level]
-    counts = (len(X_inv), len(Y), order)
+    counts = (sum(map(len, x_inv)), sum(map(len, y)), order)
     if counts[0] * counts[1] != order:
         return SplittingReport(False, False, counts)
     _require_enumerable(len(u))
-    tree, other = (y, X_inv) if counts[0] <= counts[1] else (x_inv, Y)
-    products = _walk_links(tree, list(map(inverse, other)))
-    if products is not None and len(products) == order:
+    if _product_pass(*((x_inv, y) if counts[0] <= counts[1] else (y, x_inv))):
         return SplittingReport(True, True, counts)
-    return _splitting_report(sorted(map(inverse, X_inv)), sorted(Y), None, order)
+    X = sorted(inverse(v) for v in chain.from_iterable(x_inv))
+    return _splitting_report(X, sorted(chain.from_iterable(y)), None, order)
 
 
 class _GroupTables:

@@ -9,7 +9,7 @@ each element the check rejects; an empty universe passes vacuously.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Callable, Iterable, Iterator
 
 from .patterns import (
@@ -21,7 +21,7 @@ from .patterns import (
     parabolic_factor,
 )
 from .polynomials import Poly, group_poincare
-from .quotients import _walk_links, quotient_interval_identity, verify_main_theorem
+from .quotients import _length_sum, _products, quotient_interval_identity, verify_main_theorem
 from .reports import LemmaReport, lemma_report, require_rank
 from .root_system import full_system, is_separable_recursive
 from .signed_perm import Window, all_windows, identity, inverse, inversion_mask, length
@@ -169,24 +169,24 @@ def _factorization_witness(w: Window) -> dict | None:
     """
     The factorization test on one w ending (-n, n-1); None when it holds.
     With w = q * b over the subgroup without the last two generators, the
-    walk multiplies the y^-1 for y in L(b) by the x^-1 for x in L(q): the
-    (x * y)^-1.  L(w) = L(q) * L(b) exactly when every product is
-    length-additive, #L(w) = #L(q) * #L(b), and the products are the
-    inverses of L(w), so they are distinct and cover it.
+    searches below q^-1, b^-1 and w^-1 list the inverses of L(q), L(b)
+    and L(w), and the products c * a = (x * y)^-1 of c = y^-1 and a = x^-1
+    are read off the signed tables of the c.  L(w) = L(q) * L(b) exactly
+    when #L(w) = #L(q) * #L(b), the products are the inverses of L(w), and
+    (as length(ca) <= length(c) + length(a)) the length sums agree.
     """
     n = len(w)
     wq, wj = parabolic_factor(w, (n - 2, n - 1))
-    tree = list(_levels(inverse(wq)))
-    j_levels = list(_levels(inverse(wj)))
-    w_levels = [level for level, _ in _levels(inverse(w))]
-    products = _walk_links(tree, [v for level, _ in j_levels for v in level])
+    a_levels, c_levels, w_levels = (list(_levels(inverse(v))) for v in (wq, wj, w))
+    tables = [[0, *c, *(-v for v in reversed(c))] for c in chain.from_iterable(c_levels)]
+    products = _products(tables, chain.from_iterable(a_levels))
     # The levels of a lower left ideal's search run up from its bottom.
-    w_sizes = list(map(len, w_levels))
-    j_sizes = [len(level) for level, _ in j_levels]
-    split = (products is not None
-             and sum(w_sizes) == sum(len(level) for level, _ in tree) * sum(j_sizes)
-             and products == set().union(*w_levels))
-    poly_ok = Poly(w_sizes) == Poly.geometric(2 * n - 2) * Poly(j_sizes)
+    a_sizes, c_sizes, w_sizes = (list(map(len, ls)) for ls in (a_levels, c_levels, w_levels))
+    split = (sum(w_sizes) == sum(a_sizes) * sum(c_sizes)
+             and products == set(chain.from_iterable(w_levels))
+             and sum(c_sizes) * _length_sum(a_sizes) + sum(a_sizes) * _length_sum(c_sizes)
+             == _length_sum(w_sizes))
+    poly_ok = Poly(w_sizes) == Poly.geometric(2 * n - 2) * Poly(c_sizes)
     return None if split and poly_ok else {"window": w}
 
 

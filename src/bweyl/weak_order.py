@@ -9,14 +9,15 @@ identity, whose upper covers are read off the window: w * s_0 > w when
 w_1 > 0 (negate it), w * s_i > w when w_i < w_{i+1} (swap the places).
 Each adds one root to the inversion set of w^-1, so the search keeps a
 move when that root is one of the apex's, and builds each element once,
-from the parent its first right descent leads down to.  A lower left
-ideal is the right ideal of w^-1 inverted and, as w0 = -1 is central
-and x -> -x reverses the left order, an upper left ideal is the lower
-left ideal of -w negated.  The materialized ideals are frozensets of
-windows, kept as test oracles: `rank_polynomial` counts the lengths of
-an ideal's elements from its shortest, and `ideal_polynomial` counts
-the levels of its search and builds no ideal.  Every ideal is capped at
-MAX_IDEAL_ELEMENTS elements.
+from the parent its first right descent leads down to: a level is kept
+in buckets by first descent, one list comprehension for each bucket
+and generator.  A lower left ideal is the right ideal of w^-1 inverted
+and, as w0 = -1 is central and x -> -x reverses the left order, an
+upper left ideal is the lower left ideal of -w negated.  The
+materialized ideals are frozensets of windows, kept as test oracles:
+`rank_polynomial` counts the lengths of an ideal's elements from its
+shortest, and `ideal_polynomial` counts the levels of its search and
+builds no ideal.  Every ideal is capped at MAX_IDEAL_ELEMENTS elements.
 
 `lower_covers_left` and `iter_reduced_words` act on values through
 `left_mul_simple`, which is compose with s_i: the literal definition the
@@ -25,9 +26,8 @@ fast walks are tested against.
 
 from __future__ import annotations
 
-from array import array
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .polynomials import Poly, from_counts
 from .signed_perm import (
@@ -74,6 +74,14 @@ def _check_limit(total: int) -> None:
         )
 
 
+def _places(w: Window) -> list[int]:
+    """place[w_p] = p, place[-w_p] = -p (at a negative index): the signed table of w^-1."""
+    place = [0] * (2 * len(w) + 1)
+    for p, a in enumerate(w, start=1):
+        place[a], place[-a] = p, -p
+    return place
+
+
 def _place_swaps(n: int) -> list[Callable[[Window], Window] | None]:
     """swaps[i](x) = x * s_i for 0 < i < n, x with places i and i+1 swapped; swaps[0] is None."""
     swaps: list[Callable[[Window], Window] | None] = [None]
@@ -84,56 +92,47 @@ def _place_swaps(n: int) -> list[Callable[[Window], Window] | None]:
     return swaps
 
 
-def _levels(seed: Window) -> Iterator[tuple[list[Window], array]]:
+def _levels(seed: Window) -> Iterator[list[Window]]:
     """
     Everything below seed in the right order, one length level at a time
-    from the identity up, each level with its parent links: links[pos] is
-    parent_pos * n + i for the element z = parent * s_i at pos, i being
-    the first right descent of z (the identity has no link), so z is built
-    once, from that parent alone.  x * s_i is above x when it swaps
-    neighbouring entries a < b (for i = 0, the entries -x_1 < x_1 at
-    places -1 and 1 of the signed window), and it adds one root to the
-    inversion set of x^-1, that of the values a, b.  x * s_i <= seed
-    exactly when x <= seed and that root is one of seed^-1's, that is,
-    when seed puts b before a.  Raises ValueError once the levels hold
+    from the identity up.  x * s_i is above x when it swaps neighbouring
+    entries a < b (for i = 0, the entries -x_1 < x_1 at places -1 and 1
+    of the signed window), and it adds one root to the inversion set of
+    x^-1, that of the values a, b.  x * s_i <= seed exactly when x <= seed
+    and that root is one of seed^-1's, that is, when seed puts b before a.
+    Each z is built once, from z * s_f for f its first right descent: a
+    level is kept in buckets by first descent, and x in bucket f is
+    positive and increasing before f, so of its moves only the one at
+    f + 1 needs a test of order.  Raises ValueError once the levels hold
     more than MAX_IDEAL_ELEMENTS.
     """
     n = len(seed)
-    place = [0] * (2 * n + 1)  # the signed place of each value in seed
-    for p, a in enumerate(seed, start=1):
-        place[a], place[-a] = p, -p
+    place = _places(seed)
     swaps = _place_swaps(n)
-    level = [identity(n)]
-    firsts: Iterable[int] = [n]  # the identity descends nowhere
-    links = array("i")
+    buckets = {n: [identity(n)]}  # the identity descends nowhere
     total = 0
-    while level:
+    while buckets:
+        level = [x for xs in buckets.values() for x in xs]
         total += len(level)
         _check_limit(total)
-        yield level, links
-        up: list[Window] = []
-        links = array("i")
-        for pos, (x, f) in enumerate(zip(level, firsts)):
-            # x first descends at f, so z = x * s_i first descends at i
-            # (and is built here) for i = 0 and 0 < i < f, and for i = f + 1
-            # when z does not descend at f; for any other i, at f.
-            base = pos * n
-            a = x[0]
-            if a > 0 and place[a] < place[-a]:
-                up.append((-a,) + x[1:])
-                links.append(base)
+        yield level
+        up: list[list[Window]] = [[] for _ in range(n)]
+        for f, xs in buckets.items():
+            # x[:f] is positive and increasing, so each move at i < f goes
+            # up and lands in bucket i.  The move at f + 1 swaps x[f] and
+            # x[f + 1]: it lands in bucket f + 1 when x[f - 1] < x[f + 1]
+            # (0 < x[1] when f = 0), which, as x[f - 1] > x[f] (x[0] < 0),
+            # also makes it go up.  Other moves keep f: built from elsewhere.
+            if f:
+                up[0] += [(-x[0],) + x[1:] for x in xs if place[x[0]] < 0]
             for i in range(1, f):
-                a, b = x[i - 1], x[i]
-                if a < b and place[b] < place[a]:
-                    up.append(swaps[i](x))
-                    links.append(base + i)
+                h, swap = i - 1, swaps[i]
+                up[i] += [swap(x) for x in xs if place[x[i]] < place[x[h]]]
             if f < n - 1:
-                a, b = x[f], x[f + 1]
-                if a < b and place[b] < place[a] and (x[f - 1] if f else 0) < b:
-                    up.append(swaps[f + 1](x))
-                    links.append(base + f + 1)
-        level = up
-        firsts = map(n.__rmod__, links)  # link % n
+                i, swap = f + 1, swaps[f + 1]
+                up[i] += [swap(x) for x in xs
+                          if (x[f - 1] if f else 0) < x[i] and place[x[i]] < place[x[f]]]
+        buckets = {i: xs for i, xs in enumerate(up) if xs}
 
 
 def lower_ideal_left(w: Window) -> frozenset[Window]:
@@ -142,7 +141,7 @@ def lower_ideal_left(w: Window) -> frozenset[Window]:
     they are the inverses of the right ideal of w^-1.
     """
     levels = _levels(inverse(validate_window(w)))
-    return frozenset(inverse(x) for level, _ in levels for x in level)
+    return frozenset(inverse(x) for level in levels for x in level)
 
 
 def upper_ideal_left(w: Window) -> frozenset[Window]:
@@ -152,12 +151,12 @@ def upper_ideal_left(w: Window) -> frozenset[Window]:
     inverses of the right ideal of (-w)^-1 = -w^-1, negated.
     """
     levels = _levels(tuple(-x for x in inverse(validate_window(w))))
-    return frozenset(tuple(-y for y in inverse(x)) for level, _ in levels for x in level)
+    return frozenset(tuple(-y for y in inverse(x)) for level in levels for x in level)
 
 
 def interval_right(u: Window) -> frozenset[Window]:
     """All x <= u in the right order, by upward search from the identity."""
-    return frozenset(x for level, _ in _levels(validate_window(u)) for x in level)
+    return frozenset(x for level in _levels(validate_window(u)) for x in level)
 
 
 def rank_polynomial(ideal: frozenset[Window]) -> Poly:
@@ -188,7 +187,7 @@ def ideal_polynomial(kind: str, w: Window) -> Poly:
     seed = validate_window(w)
     if kind == "lower-left":  # the right ideal of w^-1, inverted
         seed = inverse(seed)
-    return Poly([len(level) for level, _ in _levels(seed)])
+    return Poly(list(map(len, _levels(seed))))
 
 
 def reduced_word_count(w: Window) -> int:

@@ -13,9 +13,10 @@ from bweyl.quotients import (
     _GroupTables,
     _lower_ideals,
     _members,
+    _product_pass,
+    _products,
     _splitting_report,
     _theorem_cases,
-    _walk_links,
     quotient_interval_identity,
     generalized_quotient,
     is_splitting,
@@ -35,7 +36,7 @@ from bweyl.signed_perm import (
     longest_element,
     sort_windows,
 )
-from bweyl.weak_order import _levels, interval_right, lower_ideal_left
+from bweyl.weak_order import _levels, _places, interval_right, lower_ideal_left
 
 
 def subsets(ns):
@@ -199,15 +200,9 @@ def test_splitting_report_matches_length_scan():
                 assert _splitting_report(*args) == splitting_report_by_length(*args), w
 
 
-def walk_splits(tree, row, order):
-    """The split-check verdict on the walk: additive products, `order` of them."""
-    products = _walk_links(tree, row)
-    return products is not None and len(products) == order
-
-
-def test_walk_core_matches_literal_report_on_every_size_matched_pair():
+def test_product_pass_matches_literal_report_on_every_size_matched_pair():
     # Every (X, Y) = (R(a)^-1, R(b)) with #X * #Y = #W, not only the
-    # theorem's pairs, walked with either factor as the tree, and by the
+    # theorem's pairs, with tables built for either factor, and by the
     # table walk on X = L(a^-1) and Y^-1 = L(b^-1) from the ideal DP: most
     # of them fail, by a deficit or by a collision.
     expected = {2: (10, 4), 3: (106, 84), 4: (1772, 1682)}
@@ -218,19 +213,19 @@ def test_walk_core_matches_literal_report_on_every_size_matched_pair():
         ideals = all_ideals(tables)
         index = {w: k for k, w in enumerate(tables.windows)}
         levels = {w: list(_levels(w)) for w in all_windows(n)}
-        sizes = {w: sum(len(level) for level, _ in ls) for w, ls in levels.items()}
-        flat = {w: [v for level, _ in ls for v in level] for w, ls in levels.items()}
+        sizes = {w: sum(map(len, ls)) for w, ls in levels.items()}
         seen = fails = 0
         for a in levels:
             for b in levels:
                 if sizes[a] * sizes[b] != order:
                     continue
-                X, Y = [inverse(v) for v in flat[a]], flat[b]
+                X = [inverse(v) for level in levels[a] for v in level]
+                Y = [v for level in levels[b] for v in level]
                 report = _splitting_report(sorted(X), sorted(Y), None, order)
-                y_tree = walk_splits(levels[b], X, order)
-                x_tree = walk_splits(levels[a], [inverse(v) for v in Y], order)
+                x_tables = _product_pass(levels[a], levels[b])  # the x * y
+                y_tables = _product_pass(levels[b], levels[a])  # the (x * y)^-1
                 table = tables.splits(ideals[index[inverse(a)]], ideals[index[inverse(b)]])
-                assert y_tree == x_tree == table == report.is_splitting, (a, b)
+                assert x_tables == y_tables == table == report.is_splitting, (a, b)
                 seen += 1
                 fails += not report.is_splitting
                 kinds.add(report.failure_witness and report.failure_witness[0])
@@ -264,27 +259,53 @@ def test_table_walk_reads_one_row_per_tree_element(monkeypatch):
     assert walks == 1772
 
 
-def test_walk_core_checks_additivity_on_arbitrary_rows():
+def test_product_pass_checks_additivity_on_arbitrary_factors():
     # When both factors are ideals, a bijective product map was additive in
-    # every case above; arbitrary first rows give products that are
-    # distinct but not additive, which only the ascent checks reject.
+    # every case above; an arbitrary X gives products that are distinct but
+    # not additive, which only the length sums reject: as no product is
+    # longer than its factors together, the pairs' sum exceeds the group's.
     rng = random.Random(11)
     distinct_not_additive = 0
     for n in (2, 3):
         order = group_order(n)
         group = sorted(all_windows(n))
         for b in group:
-            tree = list(_levels(b))
-            Y = [v for level, _ in tree for v in level]
+            y_levels = list(_levels(b))
+            Y = [v for level in y_levels for v in level]
             if order % len(Y):
                 continue
             for _ in range(20):
                 X = rng.sample(group, order // len(Y))
+                # X^-1 by length, as the levels of a search would hold it
+                x_levels = [[inverse(x) for x in X if length(x) == k] for k in range(n * n + 1)]
                 report = _splitting_report(sorted(X), sorted(Y), None, order)
-                assert walk_splits(tree, X, order) == report.is_splitting, (X, b)
-                bijective = len({compose(x, y) for x in X for y in Y}) == order
-                distinct_not_additive += bijective and not report.is_splitting
+                assert _product_pass(x_levels, y_levels) == report.is_splitting, (X, b)
+                products = _products([_places(inverse(x)) for x in X], Y)
+                assert products == {compose(x, y) for x in X for y in Y}
+                if len(products) == order and not report.is_splitting:
+                    sums = len(Y) * sum(map(length, X)) + len(X) * sum(map(length, Y))
+                    assert sums > order * n * n // 2, (X, b)
+                    distinct_not_additive += 1
     assert distinct_not_additive > 0
+
+
+def test_split_check_builds_tables_for_the_smaller_factor_only(monkeypatch):
+    # The identity and w0 at rank 5: one factor is the whole group, the
+    # other the identity alone, so one table is built and 3840 windows
+    # are streamed past it.
+    built = 0
+    places = quotients._places
+
+    def counting(w):
+        nonlocal built
+        built += 1
+        return places(w)
+
+    monkeypatch.setattr(quotients, "_places", counting)
+    for u in (identity(5), longest_element(5)):
+        built = 0
+        assert splits_with_interval(u).is_splitting
+        assert built == 1, u
 
 
 def literal_split_check(u):
@@ -300,8 +321,8 @@ def test_split_check_report_matches_literal_on_every_window():
 
 
 def test_split_check_never_falls_back_on_a_splitting_pair(monkeypatch):
-    # A broken walk would stay correct through the literal fallback, only
-    # slow: every separable u must be settled by the walk alone.
+    # A broken product pass would stay correct through the literal fallback,
+    # only slow: every separable u must be settled by the pass alone.
     def refuse(*args):
         raise AssertionError("literal fallback taken")
 
@@ -325,7 +346,7 @@ def test_split_check_rejects_malformed_windows():
 def test_group_enumeration_budget(monkeypatch, call):
     # B_3 has 48 elements: allowed at a bound of 48, refused below it.
     # (2, 1, 3) passes the size check with ideals of 24 and 2 elements,
-    # so only its product walk would hold the whole group.
+    # so only its product pass would hold the whole group.
     monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 48)
     call()
     monkeypatch.setattr(weak_order, "MAX_IDEAL_ELEMENTS", 47)

@@ -126,7 +126,7 @@ def test_factorization_walk_matches_the_literal_check_on_every_window():
 
 def test_factorization_rejects_products_that_miss_the_ideal(monkeypatch):
     # w and v end (-4, 3) and have the same rank polynomial, so with the
-    # factors of v the walk is additive, the sizes match and the polynomial
+    # factors of v the products are additive, the sizes match and the polynomial
     # test holds: only the comparison with L(w) rejects.
     w, v = (1, -2, -4, 3), (-2, -1, -4, 3)
     assert literal_factorization_witness(w) is None
@@ -138,9 +138,21 @@ def test_factorization_rejects_products_that_miss_the_ideal(monkeypatch):
     assert _factorization_witness(v) is None
 
 
+def test_factorization_reads_additivity_off_the_length_sums(monkeypatch):
+    # Every level of the search below wq^-1 raised by one: the products,
+    # the sizes and both polynomials stay, so only the length sums reject.
+    w = (1, -2, -4, 3)
+    seed = signed_perm.inverse(parabolic_factor(w, (2, 3))[0])
+    assert _factorization_witness(w) is None
+    levels = theorems._levels
+    monkeypatch.setattr(theorems, "_levels",
+                        lambda v: [[], *levels(v)] if v == seed else levels(v))
+    assert _factorization_witness(w) == {"window": w}
+
+
 def test_factorization_composes_nothing(monkeypatch):
-    # The walk moves places; a return to per-product work would compose,
-    # or invert once per element.
+    # The products are read off signed tables built in place; a return to
+    # per-product work would compose, or invert once per element.
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bweyl"]
     counts = {"compose": 0, "inverse": 0}
     for name in counts:
