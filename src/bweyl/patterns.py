@@ -38,27 +38,20 @@ SEPARABLE_FORBIDDEN: tuple[Window, ...] = (
     (-2, -4, -1, -3),
 )
 
-#: Forbidden quadruples through the last entry in the minimality test,
-#: split by the sign of that entry.
-MINNONSEP_QUAD_POS: frozenset[Window] = frozenset(
-    [(1, 3, -4, 2), (2, -3, 4, 1), (-1, 3, -4, 2), (-2, 3, -4, 1)]
-)
-MINNONSEP_QUAD_NEG: frozenset[Window] = frozenset(
-    [(-1, -3, 4, -2), (-2, 3, -4, -1), (1, -3, 4, -2), (2, -3, 4, -1)]
-)
-
-#: Forbidden quadruples in the inverse-minimality test.
-INVERSE_QUAD_POS: frozenset[Window] = frozenset([(-1, -4, -2, 3), (1, -4, -2, 3)])
-INVERSE_QUAD_NEG: frozenset[Window] = frozenset([(1, 4, 2, -3), (-1, 4, 2, -3)])
+def _sign_pair(name: str, positive: tuple[Window, ...]) -> dict[str, tuple[Window, ...]]:
+    """A family through a positive last entry, and the negative one: its negation, sorted."""
+    return {f"{name}-pos": positive,
+            f"{name}-neg": tuple(sorted(tuple(-x for x in p) for p in positive))}
 
 
-#: The named pattern families the CLI lists, each in sorted order.
+#: The named pattern families the CLI lists: the six forbidden patterns in
+#: the order above, then the forbidden quadruples through the last entry in
+#: the minimality and inverse-minimality tests, each sorted (the negative
+#: family is the positive one negated, see `_positive_last`).
 PATTERN_SETS: dict[str, tuple[Window, ...]] = {
     "sep-forbidden-6": SEPARABLE_FORBIDDEN,
-    "minnonsep-quad-pos": tuple(sorted(MINNONSEP_QUAD_POS)),
-    "minnonsep-quad-neg": tuple(sorted(MINNONSEP_QUAD_NEG)),
-    "inverse-quad-pos": tuple(sorted(INVERSE_QUAD_POS)),
-    "inverse-quad-neg": tuple(sorted(INVERSE_QUAD_NEG)),
+    **_sign_pair("minnonsep-quad", ((-2, 3, -4, 1), (-1, 3, -4, 2), (1, 3, -4, 2), (2, -3, 4, 1))),
+    **_sign_pair("inverse-quad", ((-1, -4, -2, 3), (1, -4, -2, 3))),
 }
 
 
@@ -288,10 +281,15 @@ def is_minimal_nonseparable_fast(w: Window) -> bool:
     return _minimal(validate_window(w))
 
 
-def _inverse_minimal(w: Window) -> bool:
+def _pivot(w: Window) -> int:
+    """The 0-based place of the magnitude-n entry of w."""
     n = len(w)
-    i = next(k for k in range(n) if abs(w[k]) == n)
-    if i == n - 1 or not _separable(w[:i] + w[i + 1:]):
+    return next(k for k, x in enumerate(w) if abs(x) == n)
+
+
+def _inverse_minimal(w: Window) -> bool:
+    i = _pivot(w)
+    if i == len(w) - 1 or not _separable(w[:i] + w[i + 1:]):
         return False
     return not _inverse_quad_through_last(w)
 
@@ -309,7 +307,10 @@ def inverse_minimality_criterion(w: Window) -> bool:
     return _inverse_minimal(w)
 
 
+def _doubly_minimal(w: Window) -> bool:
+    return _minimal(w) and _minimal(inverse(w))
+
+
 def is_doubly_minimal(w: Window) -> bool:
     """Whether w and its inverse are both minimal non-separable."""
-    w = validate_window(w)
-    return _minimal(w) and _minimal(inverse(w))
+    return _doubly_minimal(validate_window(w))

@@ -41,7 +41,7 @@ from .signed_perm import (
     inverse,
     inversion_mask,
     is_window,
-    sort_windows,
+    longest_element,
     validate_window,
 )
 from . import weak_order
@@ -210,28 +210,24 @@ class _GroupTables:
     sentinel `order` otherwise, and maps the sentinel to itself, so a walk
     off the cover relation stays there.  inv[k] is the index of w_k^-1, so
     the left tables serve the right order too.  s_i * w is the inverse of
-    w^-1 * s_i, which is w^-1 with places i, i+1 swapped (place 1 negated
-    for i = 0), so the tables are read off the inverse windows.  Negation
-    maps length l to n^2 - l and reverses the window order within a
-    length, so -w_k is w_{order-1-k}.
+    w^-1 * s_i, so the tables are read off the inverse windows by the
+    moves of `_place_swaps`.  The order is that of the levels below w0,
+    each sorted.  Negation maps length l to n^2 - l and reverses the
+    window order within a length, so -w_k is w_{order-1-k}.
     """
 
     def __init__(self, n: int) -> None:
-        self.windows = sort_windows(all_windows(n))
+        self.windows = [x for level in _levels(longest_element(n)) for x in sorted(level)]
         inverses = [inverse(w) for w in self.windows]
         index = {v: k for k, v in enumerate(inverses)}  # w_k^-1 -> k
         self.order = len(self.windows)
         self.inv = array("i", map(index.__getitem__, self.windows))
         sentinel = self.order
         self.up = []
-        for i, swap in enumerate(_place_swaps(n)):
-            if i:
-                moved = map(swap, inverses)
-            else:
-                moved = ((-v[0],) + v[1:] for v in inverses)
+        for swap in _place_swaps(n):
             # A cover is one length away, so in length order it is longer
             # exactly when its index is larger.
-            images = map(index.__getitem__, moved)
+            images = map(index.__getitem__, map(swap, inverses))
             up = array("i", [j if j > k else sentinel for k, j in enumerate(images)])
             up.append(sentinel)
             self.up.append(up)

@@ -13,9 +13,11 @@ from itertools import chain, permutations, product
 from typing import Callable, Iterable, Iterator
 
 from .patterns import (
+    _doubly_minimal,
     _inverse_minimal,
     _minimal,
     _minimal_definitional,
+    _pivot,
     _separable,
     is_doubly_minimal,
     parabolic_factor,
@@ -50,12 +52,7 @@ def _sweep(
 @lru_cache(maxsize=4)  # one entry per rank the checks accept, 3..6
 def doubly_minimal_elements(n: int) -> tuple[Window, ...]:
     """Windows w with w and w^-1 both minimal non-separable."""
-    return tuple(w for w in all_windows(n) if _minimal(w) and _minimal(inverse(w)))
-
-
-def _pivot(w: Window) -> int:
-    """The 0-based place of the magnitude-n entry of w."""
-    return next(k for k, x in enumerate(w) if abs(x) == len(w))
+    return tuple(filter(_doubly_minimal, all_windows(n)))
 
 
 def check_sign_structure(n: int) -> LemmaReport:

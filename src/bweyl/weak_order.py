@@ -82,9 +82,9 @@ def _places(w: Window) -> list[int]:
     return place
 
 
-def _place_swaps(n: int) -> list[Callable[[Window], Window] | None]:
-    """swaps[i](x) = x * s_i for 0 < i < n, x with places i and i+1 swapped; swaps[0] is None."""
-    swaps: list[Callable[[Window], Window] | None] = [None]
+def _place_swaps(n: int) -> list[Callable[[Window], Window]]:
+    """swaps[i](x) = x * s_i: x with place 1 negated (i = 0), places i, i+1 swapped (0 < i < n)."""
+    swaps: list[Callable[[Window], Window]] = [lambda x: (-x[0],) + x[1:]]
     for i in range(1, n):
         places = list(range(n))
         places[i - 1], places[i] = i, i - 1

@@ -208,6 +208,22 @@ def test_pattern_set_listing(capsys):
     assert code == 2
 
 
+#: Each pattern set's `--format json` listing, as the CLI prints it.
+PATTERN_SET_LISTINGS = {
+    "sep-forbidden-6": '"-2 1", "2 -1", "3 1 4 2", "2 4 1 3", "-3 -1 -4 -2", "-2 -4 -1 -3"',
+    "minnonsep-quad-pos": '"-2 3 -4 1", "-1 3 -4 2", "1 3 -4 2", "2 -3 4 1"',
+    "minnonsep-quad-neg": '"-2 3 -4 -1", "-1 -3 4 -2", "1 -3 4 -2", "2 -3 4 -1"',
+    "inverse-quad-pos": '"-1 -4 -2 3", "1 -4 -2 3"',
+    "inverse-quad-neg": '"-1 4 2 -3", "1 4 2 -3"',
+}
+
+
+@pytest.mark.parametrize("name", PATTERN_SET_LISTINGS)
+def test_pattern_set_json_is_pinned(capsys, name):
+    assert run(capsys, "pattern-set", name, "--format", "json") == (
+        0, f'{{"name": "{name}", "patterns": [{PATTERN_SET_LISTINGS[name]}]}}\n', "")
+
+
 def test_window_parse_errors_exit_two(capsys):
     # every verb that takes a window refuses a malformed one, nothing on
     # stdout; `minimal-nonsep "1 1" --list --n 3` used to list and ignore it

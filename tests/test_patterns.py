@@ -11,10 +11,6 @@ from hypothesis import strategies as hs
 
 from bweyl.catalog import ST_FIBER_2413, ST_FIBER_3142
 from bweyl.patterns import (
-    INVERSE_QUAD_NEG,
-    INVERSE_QUAD_POS,
-    MINNONSEP_QUAD_NEG,
-    MINNONSEP_QUAD_POS,
     PATTERN_SETS,
     SEPARABLE_FORBIDDEN,
     _has_forbidden_pair,
@@ -46,6 +42,7 @@ from bweyl.signed_perm import (
     left_mul_simple,
     length,
     longest_element,
+    validate_window,
 )
 
 
@@ -353,17 +350,18 @@ def _minimal_by_sts(w):
     """The window test for minimality with every pattern found by standardizing."""
     if len(w) < 2 or _has_forbidden_pair(w[:-1]) or _has_forbidden_quad(w):
         return False
-    target, quads = ((-2, 1), MINNONSEP_QUAD_POS) if w[-1] > 0 else ((2, -1), MINNONSEP_QUAD_NEG)
+    target, sign = ((-2, 1), "pos") if w[-1] > 0 else ((2, -1), "neg")
+    quads = PATTERN_SETS[f"minnonsep-quad-{sign}"]
     return (any(sts((x, w[-1])) == target for x in w[:-1])
             and not _quad_through_last_by_sts(w, quads))
 
 
 def _assert_last_entry_tests_match_standardization(w):
-    positive = w[-1] > 0
+    sign = "pos" if w[-1] > 0 else "neg"
     assert _minnonsep_quad_through_last(w) == _quad_through_last_by_sts(
-        w, MINNONSEP_QUAD_POS if positive else MINNONSEP_QUAD_NEG), w
+        w, PATTERN_SETS[f"minnonsep-quad-{sign}"]), w
     assert _inverse_quad_through_last(w) == _quad_through_last_by_sts(
-        w, INVERSE_QUAD_POS if positive else INVERSE_QUAD_NEG), w
+        w, PATTERN_SETS[f"inverse-quad-{sign}"]), w
     assert _minimal(w) == _minimal_by_sts(w), w
 
 
@@ -444,3 +442,12 @@ def test_pattern_set_registry():
     assert PATTERN_SETS["sep-forbidden-6"] == SEPARABLE_FORBIDDEN
     for members in PATTERN_SETS.values():
         assert len(set(members)) == len(members)
+
+
+@pytest.mark.parametrize("family", ["minnonsep-quad", "inverse-quad"])
+def test_negative_quad_family_is_the_positive_one_negated(family):
+    positive, negative = PATTERN_SETS[f"{family}-pos"], PATTERN_SETS[f"{family}-neg"]
+    assert negative == tuple(sorted(tuple(-x for x in p) for p in positive))
+    for members in (positive, negative):
+        assert list(members) == sorted(set(members)), family
+        assert all(len(p) == 4 and validate_window(p) == p for p in members), family

@@ -463,6 +463,12 @@ def test_tables_match_the_literal_construction():
         assert (tables.up, tables.inv) == literal_tables(n), n
 
 
+def test_table_order_is_the_sorted_levels_below_w0():
+    for n in range(1, 7):
+        order = [x for level in _levels(longest_element(n)) for x in sorted(level)]
+        assert order == sort_windows(all_windows(n)), n
+
+
 def test_table_ideal_sizes_match_ideals_rank_five():
     tables = _GroupTables(5)
     sizes = [bits.bit_count() for bits in _lower_ideals(tables)]

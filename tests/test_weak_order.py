@@ -220,6 +220,17 @@ def _right_move(x, i):
     return x[:i - 1] + (x[i], x[i - 1]) + x[i + 1:]
 
 
+def test_place_swaps_are_the_literal_right_products():
+    # index 0 is s_0, negating place 1; it used to be None
+    for n in range(1, 6):
+        moves = weak_order._place_swaps(n)
+        assert len(moves) == n
+        for i, move in enumerate(moves):
+            s = simple_reflection(n, i)
+            for x in all_windows(n):
+                assert move(x) == compose(x, s), (n, i, x)
+
+
 def _first_descent(z):
     """The first right descent of z, or None for the identity."""
     return next((j for j in range(len(z)) if (z[j - 1] if j else 0) > z[j]), None)
